@@ -5,11 +5,9 @@ quantity against a stated bound or reference, and returns an
 ExperimentReport whose rows carry a 0/1 pass flag.  Reports are
 deterministic for a fixed configuration.
 
-Approximate runtimes at defaults, single core: heat-equiv, mehler,
-restricted-sweep and mkappa run in seconds; concentrate and
-kernel-consistency in tens of seconds to a few minutes; dispersion and
-strichartz-window are the heavy ones (minutes, dominated by group
-convolutions).  The fast flag shrinks every grid axis by about half.
+Approximate runtimes at defaults, two cores: kernel-consistency takes
+about 15 s (the radial transform); every other experiment runs in
+seconds.  The fast flag shrinks every grid axis by about half.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from .kernels import (KernelQuery, TruncationBudget, dispersion_constant,
                       heat_kernel_series, kernel_complex_time,
                       restricted_kernel, schrodinger_kernel)
 from .quadrature import GridSpec, _flatten_grid, lp_norm_on_ball_radial
-from .solutions import (LineData, concentration_probe, evolve_by_convolution,
-                        hyperplane_decay_exponent)
+from .solutions import (LineData, concentration_probe, convolution_grid,
+                        evolve_by_convolution, hyperplane_decay_exponent)
 
 
 class ConfigError(ValueError):
@@ -141,12 +139,6 @@ def _ball_eval_points(d: int, gauge_radius: float, n_h: int, n_v: int):
     points = [GroupPoint(y=p[:d].copy(), eta=p[d:2 * d].copy(),
                          s=float(p[2 * d])) for p in pts]
     return points, w
-
-
-def _conv_spec(u0, n: int) -> GridSpec:
-    rh = math.sqrt(u0.support_rho)
-    axes = [(-rh, rh, n)] * (2 * u0.d) + [(-u0.support_s, u0.support_s, n)]
-    return GridSpec(tuple(axes))
 
 
 def _bump_norms(u0, n_rho=257, n_s=513):
@@ -262,7 +254,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
         if (np.sum(y ** 2) + np.sum(eta ** 2)) ** 2 + s ** 2 < gauge ** 4:
             cand.append(GroupPoint(y=y, eta=eta, s=float(s)))
     conv_vals, conv_err = evolve_by_convolution(
-        u0, t, cand, spec=_conv_spec(u0, n_conv), tol=1e-6)
+        u0, t, cand, spec=convolution_grid(u0, n_conv), tol=1e-6)
 
     scale = float(np.max(np.abs(conv_vals)))
     order = np.argsort(-np.abs(conv_vals))
@@ -326,7 +318,7 @@ def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv, kernel_tol=1e-8):
     """Sup, L2 and L4 of the evolved solution over the gauge ball."""
     points, w = _ball_eval_points(u0.d, kappa * math.sqrt(t), n_h, n_v)
     vals, err = evolve_by_convolution(u0, t, points,
-                                      spec=_conv_spec(u0, n_conv),
+                                      spec=convolution_grid(u0, n_conv),
                                       tol=kernel_tol)
     a = np.abs(vals)
     sup = float(np.max(a))

@@ -458,6 +458,51 @@ def dispersive_onset_time(kappa: float, r0: float, d: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # Batched evaluation on a fixed tau grid (used by grid convolution)
 
+_TAU_PROBE = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+
+
+def _batch_tau_rule(z: complex, rho_max: float, smax: float, rate: float,
+                    tol: float, amplitude):
+    """The tau rule of the fixed-grid batches: (t_cut, width).
+
+    amplitude(tau) bounds |integrand| exp(rate |tau|) at the nodes tau
+    over every pair of the batch.  It is read on a fixed ladder, the
+    cut-off is placed where the two tails of C exp(-rate |tau|) fall
+    below tol / 2, and the bound is read again just inside that cut-off.
+    width caps the Gauss panels by the phase speed at the corner
+    (rho_max, smax); where the phase is slow it is t_cut, one panel per
+    side, which the halved-width error probe splits in two."""
+    c_amp = amplitude(_TAU_PROBE)
+    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
+    near = t_cut * np.array([0.55, 0.75, 0.95])
+    c_amp = max(c_amp, amplitude(near))
+    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
+    width = _osc_panel_width(z, rho_max, smax) or t_cut
+    return t_cut, width
+
+
+def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
+                      tol: float):
+    """Strip check and tau rule (z, t_cut, width) of the unitary kernel
+    for a batch of pairs with |s| <= smax and rho <= rho_max."""
+    z = complex(0.0, -t)
+    rate = 2.0 * d - smax / (2.0 * abs(t))
+    if rate <= 0.0:
+        raise StripViolation(
+            "batch point |s| = %g outside the strip 4 d |t| = %g"
+            % (smax, 4.0 * d * abs(t)))
+
+    # the worst-case envelope of the integrand over the batch
+    def amplitude(tau):
+        at = np.abs(tau)
+        return float(np.exp(np.max(sinh_ratio_log(tau, d)
+                                   + at * smax / (2.0 * abs(t))
+                                   + rate * at)))
+
+    t_cut, width = _batch_tau_rule(z, rho_max, smax, rate, tol, amplitude)
+    return z, t_cut, width
+
+
 def schrodinger_batch(d: int, t: float, rho, s, tol: float = 1e-6):
     """Unitary kernel at many (rho, s) pairs on one shared tau grid.
 
@@ -472,29 +517,9 @@ def schrodinger_batch(d: int, t: float, rho, s, tol: float = 1e-6):
         raise ValueError("rho and s must have equal length")
     if np.any(rho < 0.0):
         raise ValueError("rho must be nonnegative")
-    z = complex(0.0, -t)
     smax = float(np.max(np.abs(s))) if s.size else 0.0
-    rate = 2.0 * d - smax / (2.0 * abs(t))
-    if rate <= 0.0:
-        worst = float(np.max(np.abs(s)))
-        raise StripViolation(
-            "batch point |s| = %g outside the strip 4 d |t| = %g"
-            % (worst, 4.0 * d * abs(t)))
-
-    # amplitude probe against the worst-case envelope
-    def log_amp(tau):
-        return (sinh_ratio_log(tau, d) + np.abs(tau) * smax / (2.0 * abs(t))
-                + rate * np.abs(tau))
-
-    probe = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-    c_amp = float(np.exp(np.max(log_amp(probe))))
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    near = t_cut * np.array([0.55, 0.75, 0.95])
-    c_amp = max(c_amp, float(np.exp(np.max(log_amp(near)))))
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-
     rho_max = float(np.max(rho)) if rho.size else 0.0
-    width = _osc_panel_width(z, rho_max, smax) or (2.0 * t_cut)
+    z, t_cut, width = _unitary_tau_rule(d, t, smax, rho_max, tol)
 
     pref = (4.0 * math.pi * z) ** (-(d + 1))
     values = pref * _fixed_grid_sum(d, z, rho, s, t_cut, width)
@@ -564,10 +589,9 @@ def restricted_batch(ell: int, d: int, t: float, rho, s, tol: float = 1e-6):
             % (smax, 4.0 * (2 * ell + d) * abs(t)))
 
     corners = [(0.0, smax), (0.0, -smax), (rho_max, smax), (rho_max, -smax)]
-    probe = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-    probe = np.concatenate([probe, -probe])
 
-    def amplitude(points: np.ndarray) -> float:
+    def amplitude(tau: np.ndarray) -> float:
+        points = np.concatenate([tau, -tau])
         best = 1e-300
         for rc, sc in corners:
             vals = _integrand_values(d, z, np.full_like(points, rc),
@@ -576,12 +600,7 @@ def restricted_batch(ell: int, d: int, t: float, rho, s, tol: float = 1e-6):
                                           * np.exp(rate * np.abs(points)))))
         return best
 
-    c_amp = amplitude(probe)
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    near = t_cut * np.array([0.55, 0.75, 0.95])
-    c_amp = max(c_amp, amplitude(np.concatenate([near, -near])))
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    width = _osc_panel_width(z, rho_max, smax) or (2.0 * t_cut)
+    t_cut, width = _batch_tau_rule(z, rho_max, smax, rate, tol, amplitude)
 
     pref = (4.0 * math.pi * z) ** (-(d + 1))
     values = pref * _restricted_fixed_sum(ell, d, z, rho, s, t_cut, width)

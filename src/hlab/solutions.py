@@ -14,6 +14,12 @@ Two families of initial data:
 Each solution can be computed three ways: the exact integral (value), the
 grid transform route (spectral_coefficients + evolve + synthesize), and
 group convolution of the initial data against the flow kernel.
+
+The convolution is one quadrature sum over tau nodes, source grid nodes
+and query points.  The kernel's dependence on a (query, node) pair is
+bilinear in their coordinates, so for each tau node the source grid is
+summed axis by axis (the s axis, then each horizontal axis) and the sum
+over tau comes last; no kernel value at a single pair is formed.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ import numpy as np
 from .fourier import (RadialFunction, SpectralCoefficients, bump_profile,
                       single_sign_lambda_grid)
 from .group import GroupPoint
-from .kernels import StripViolation, restricted_batch, schrodinger_batch
-from .quadrature import GridSpec, _flatten_grid, integrate_adaptive
-from .special import laguerre_table
+from .kernels import (StripViolation, _fixed_grid_sum, _fixed_tau_rule,
+                      _unitary_tau_rule)
+from .quadrature import (GridSpec, _flatten_grid, grid_nodes_weights,
+                         integrate_adaptive)
+from .special import laguerre_table, sinh_ratio_log, tau_over_tanh2
 
 
 @lru_cache(maxsize=32)
@@ -100,7 +108,12 @@ class LineData:
     def _mass(self) -> float:
         if "mass" not in self._cache:
             a, b = self.band
-            val, _ = integrate_adaptive(self.raw_density, a, b, 1e-14)
+            # The tolerance tracks the round-off floor of the mass itself,
+            # which a wide band lifts above any fixed absolute target.
+            mu, wm = _panel_gl(a, b, 16)
+            rough = abs(float(np.sum(self.raw_density(mu) * wm)))
+            tol = max(1e-14, 64.0 * np.finfo(float).eps * rough)
+            val, _ = integrate_adaptive(self.raw_density, a, b, tol)
             self._cache["mass"] = float(val.real)
         return self._cache["mass"]
 
@@ -355,19 +368,114 @@ def convolution_grid(u0: RadialFunction, n: int = 48) -> GridSpec:
     return GridSpec(tuple(axes))
 
 
-def evolve_by_convolution(u0: RadialFunction, t: float, points,
-                          spec: GridSpec | None = None, ell: int | None = None,
-                          tol: float = 1e-6):
-    """u(t) at GroupPoints by convolving u0 with the flow kernel.
+# tau nodes per block of the factorized sum; its axis factors are arrays
+# of (block, queries, nodes per axis), so the block size bounds peak memory.
+_TAU_BLOCK = 32
 
-    u(t, w) = integral of u0(v) K_t(v^{-1} . w) over the support box of u0.
-    Every translated node must satisfy the kernel strip condition, checked
-    up front; StripViolation otherwise.  ell selects the restricted kernel
-    (valid when u0 lives on Laguerre indices >= ell).  Returns
+
+def _pair_extent(points, vy, veta, vs, take):
+    """max |s| and max rho over all (query, node) pairs, a query at a
+    time, and the rho, s of the pairs at the query-major indices take."""
+    d = vy.shape[1]
+    n = vs.size
+    probe_q, probe_k = np.divmod(take, n)
+    rho_p = np.empty(take.size)
+    s_p = np.empty(take.size)
+    smax = rho_max = 0.0
+    for j, wp in enumerate(points):
+        if wp.d != d:
+            raise ValueError("query point dimension mismatch")
+        dy = wp.y[None, :] - vy
+        de = wp.eta[None, :] - veta
+        rho = np.sum(dy * dy, axis=1) + np.sum(de * de, axis=1)
+        s = (wp.s - vs - 2.0 * (veta @ wp.y) + 2.0 * (vy @ wp.eta))
+        smax = max(smax, float(np.max(np.abs(s))))
+        rho_max = max(rho_max, float(np.max(rho)))
+        hit = probe_q == j
+        rho_p[hit] = rho[probe_k[hit]]
+        s_p[hit] = s[probe_k[hit]]
+    return smax, rho_max, rho_p, s_p
+
+
+def _factorized_sum(d, z, tau, wt, nodes, amp, points):
+    """sum over tau, grid nodes v of wt exp(L + c (i tau s - g rho)) amp_v
+    at every query w, with (rho, s) those of the pair (w, v), summed in
+    the order given in evolve_by_convolution.  amp is the amplitude
+    tensor on the grid with axes nodes (y_1..y_d, eta_1..eta_d, s)."""
+    c = 1.0 / (2.0 * z)
+    h_nodes, s_nodes = nodes[:-1], nodes[-1]
+    h_shape = amp.shape[:-1]
+    amp_h = amp.reshape(-1, s_nodes.size)
+    mesh = np.meshgrid(*h_nodes, indexing="ij")
+    rho_h = sum(x * x for x in mesh).reshape(-1)
+    qy = np.array([wp.y for wp in points])
+    qeta = np.array([wp.eta for wp in points])
+    qs = np.array([wp.s for wp in points])
+    qrho = np.sum(qy * qy, axis=1) + np.sum(qeta * qeta, axis=1)
+    # the node coordinate on axis y_k meets (g y_k + i tau eta_k) of the
+    # query, on axis eta_k it meets (g eta_k - i tau y_k)
+    pairing = ([(qy[:, k], 1j * qeta[:, k]) for k in range(d)]
+               + [(qeta[:, k], -1j * qy[:, k]) for k in range(d)])
+    big_l = sinh_ratio_log(tau, d)
+    g = tau_over_tanh2(tau)
+    out = np.zeros(len(points), dtype=complex)
+    for lo in range(0, tau.size, _TAU_BLOCK):
+        blk = slice(lo, lo + _TAU_BLOCK)
+        tb, gb = tau[blk], g[blk]
+        m = tb.size
+        # the s axis, for all queries at once, then exp(-c g rho_v)
+        part = np.exp(-1j * c * np.outer(tb, s_nodes)) @ amp_h.T
+        part *= np.exp(-c * np.outer(gb, rho_h))
+        part = part.reshape((m,) + h_shape)
+        # the horizontal axes, each against its (m, P, n_k) factors
+        for k, x in enumerate(h_nodes):
+            same, cross = pairing[k]
+            coef = np.outer(gb, same) + np.outer(tb, cross)
+            fac = np.exp(2.0 * c * coef[:, :, None] * x)
+            if k == 0:      # one batched matmul over the block
+                part = np.matmul(fac, part.reshape(m, x.size, -1)).reshape(
+                    (m, len(points)) + h_shape[1:])
+            else:
+                part = np.einsum("jpx,jpx...->jp...", fac, part)
+        query = wt[blk, None] * np.exp(
+            big_l[blk, None] + c * (1j * np.outer(tb, qs)
+                                    - np.outer(gb, qrho)))
+        out += np.sum(query * part, axis=0)
+    return out
+
+
+def evolve_by_convolution(u0: RadialFunction, t: float, points,
+                          spec: GridSpec | None = None, tol: float = 1e-6):
+    """u(t) at GroupPoints by convolving u0 with the unitary flow kernel.
+
+    u(t, w) = integral of u0(v) S_t(v^{-1} . w) over the support box of
+    u0, by the tensor rule of spec and the tau rule schrodinger_batch
+    picks for the (query, node) pairs.  Nodes where u0 is below 1e-16 of
+    its peak are dropped.  Every kept pair must satisfy the kernel strip
+    condition, checked up front; StripViolation otherwise.
+
+    Order of summation: with c = 1/(2z), z = -it, g = tau/tanh 2tau and
+    L = log (2tau/sinh 2tau)^d, the pair quantities split as
+    rho = rho_w + rho_v - 2 (y_w.y_v + eta_w.eta_v) and
+    s = s_w - s_v + 2 (y_v.eta_w - eta_v.y_w).  So for each tau node the
+    source grid is summed one axis at a time: the s axis first against
+    exp(-c i tau s_v) (one matmul for all queries), then the factor
+    exp(-c g rho_v), then the 2d horizontal axes for each query against
+    exp(2c y_v (g y_w + i tau eta_w)) and exp(2c eta_v (g eta_w - i tau
+    y_w)).  The query factor w_tau exp(L + c (i tau s_w - g rho_w)) and
+    the sum over tau come last.  This is the quadrature sum of the
+    pair-by-pair kernel, reordered; it costs about
+    m (N + P n^(2d)) for m tau nodes, N grid nodes, P queries and n
+    nodes per axis, against P N m exponentials pair by pair.
+
+    The error bound is the kernel error, estimated on 8 pairs by halving
+    the panel width, times the l1 norm of the node amplitudes.  Returns
     (values, err_bound)."""
     if spec is None:
         spec = convolution_grid(u0)
     d = u0.d
+    if len(spec.axes) != 2 * d + 1:
+        raise ValueError("the grid needs 2 d + 1 axes")
     pts, w = _flatten_grid(spec)
     vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
     rho_v = np.sum(vy * vy, axis=1) + np.sum(veta * veta, axis=1)
@@ -379,37 +487,29 @@ def evolve_by_convolution(u0: RadialFunction, t: float, points,
         u0v = np.vectorize(u0.profile)(rho_v, vs)
     amp = w * u0v
     keep = np.abs(u0v) > 1e-16 * float(np.max(np.abs(u0v)))
-    vy, veta, vs, rho_v, amp = (vy[keep], veta[keep], vs[keep],
-                                rho_v[keep], amp[keep])
 
     points = list(points)
-    n_keep = amp.size
-    rho_all = np.empty((len(points), n_keep))
-    s_all = np.empty((len(points), n_keep))
-    for j, wp in enumerate(points):
-        if wp.d != d:
-            raise ValueError("query point dimension mismatch")
-        dy = wp.y[None, :] - vy
-        de = wp.eta[None, :] - veta
-        rho_all[j] = np.sum(dy * dy, axis=1) + np.sum(de * de, axis=1)
-        s_all[j] = (wp.s - vs - 2.0 * (veta @ wp.y) + 2.0 * (vy @ wp.eta))
-
-    band = 4.0 * (2 * (ell or 0) + d) * abs(float(t))
-    worst = float(np.max(np.abs(s_all)))
-    if worst >= band:
+    n_pairs = len(points) * int(np.count_nonzero(keep))
+    take = np.linspace(0, n_pairs - 1, min(8, n_pairs)).astype(int)
+    smax, rho_max, rho_p, s_p = _pair_extent(points, vy[keep], veta[keep],
+                                             vs[keep], take)
+    band = 4.0 * d * abs(float(t))
+    if smax >= band:
         raise StripViolation(
             "translated grid node reaches |s| = %g >= strip %g; "
-            "grow t or shrink the box" % (worst, band))
+            "grow t or shrink the box" % (smax, band))
+    z, t_cut, width = _unitary_tau_rule(d, float(t), smax, rho_max, tol)
+    pref = (4.0 * math.pi * z) ** (-(d + 1))
+    coarse = pref * _fixed_grid_sum(d, z, rho_p, s_p, t_cut, width)
+    finer = pref * _fixed_grid_sum(d, z, rho_p, s_p, t_cut, 0.5 * width)
+    kerr = max(float(np.max(np.abs(finer - coarse))),
+               1e-16 * float(np.max(np.abs(coarse))))
 
-    if ell:
-        kv, kerr = restricted_batch(ell, d, t, rho_all.reshape(-1),
-                                    s_all.reshape(-1), tol)
-    else:
-        kv, kerr = schrodinger_batch(d, t, rho_all.reshape(-1),
-                                     s_all.reshape(-1), tol)
-    kv = kv.reshape(len(points), n_keep)
-    values = kv @ amp
-    err = kerr * float(np.sum(np.abs(amp)))
+    nodes, _ = grid_nodes_weights(spec)
+    tau, wt = _fixed_tau_rule(t_cut, width)
+    amp_grid = np.where(keep, amp, 0.0).reshape([x.size for x in nodes])
+    values = pref * _factorized_sum(d, z, tau, wt, nodes, amp_grid, points)
+    err = kerr * float(np.sum(np.abs(amp[keep])))
     return values, err
 
 

@@ -281,6 +281,16 @@ def test_batch_matches_scalar_unitary():
         schrodinger_batch(1, 0.8, [0.0, 1.0], [0.0])
 
 
+def test_batch_error_probe_on_a_single_panel():
+    # The phase is slow at this pair, so the tau rule is one Gauss panel
+    # per side; the halved-width probe must split it, not rebuild it.
+    t, rho, s = 8.0, 0.1358, 4.8758
+    vals, err = schrodinger_batch(1, t, [rho], [s], tol=1e-10)
+    ref = schrodinger_kernel(
+        KernelQuery(t_or_z=t, rho=rho, s=s, tol=1e-13)).value
+    assert err >= 0.5 * abs(vals[0] - ref)
+
+
 def test_batch_matches_scalar_restricted():
     rng = np.random.default_rng(6)
     rho = rng.uniform(0.0, 2.5, 12)

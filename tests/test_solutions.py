@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from hlab.fourier import synthesize
+from hlab.experiments import _ball_eval_points
+from hlab.fourier import RadialFunction, bump_profile, synthesize
 from hlab.group import GroupPoint
-from hlab.kernels import KernelQuery, StripViolation, schrodinger_kernel
-from hlab.quadrature import integrate_adaptive, lp_norm_on_ball_radial
+from hlab.kernels import (KernelQuery, StripViolation, schrodinger_batch,
+                          schrodinger_kernel)
+from hlab.quadrature import (GridSpec, _flatten_grid, integrate_adaptive,
+                             lp_norm_on_ball_radial)
 from hlab.solutions import (ConcentrationProbe, LineData, bump_data,
                             concentration_probe, convolution_grid,
                             evolve_by_convolution,
@@ -106,6 +109,21 @@ def test_hyperplane_decay_exponents():
         hyperplane_decay_exponent(LineData(profile="bump"), 1.0, n_points=1)
 
 
+def test_wide_band_mass_converges():
+    # The mass of a wide band has a round-off floor above 1e-14; its
+    # tolerance follows that floor, so the quadrature converges.
+    for band in ((1.0, 4.0), (0.5, 6.0)):
+        hat = LineData(profile="hat", band=band)
+        assert hat._mass() == pytest.approx(0.5 * (band[1] - band[0]),
+                                            rel=1e-13)
+        bump = LineData(profile="bump", band=band)
+        total, _ = integrate_adaptive(bump.density, *band, 1e-12)
+        assert total.real == pytest.approx(1.0, rel=1e-12)
+    fit = hyperplane_decay_exponent(LineData(profile="bump",
+                                             band=(1.0, 4.0)), 1.0)
+    assert fit.n_used >= 2 and fit.exponent > 2.0
+
+
 def test_spectral_route_reproduces_time_zero():
     for sign in (1, -1):
         data = LineData(ell=1, lambda_sign=sign, profile="bump")
@@ -173,6 +191,55 @@ def test_convolution_grid_refinement_and_linearity():
     doubled, _ = evolve_by_convolution(bump_data(0.5, amplitude=2.0), 0.7,
                                        pts, spec=convolution_grid(u0, n=33))
     np.testing.assert_allclose(doubled, 2.0 * a, rtol=1e-13)
+
+
+def _pair_sum(u0, t, points, spec, tol):
+    """The convolution as the explicit sum over (query, kept node) pairs:
+    the unitary batch kernel at every pair times the node amplitudes."""
+    d = u0.d
+    pts, w = _flatten_grid(spec)
+    vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
+    u0v = u0.profile(np.sum(vy * vy, axis=1) + np.sum(veta * veta, axis=1),
+                     vs)
+    keep = np.abs(u0v) > 1e-16 * np.max(np.abs(u0v))
+    amp = (w * u0v)[keep]
+    vy, veta, vs = vy[keep], veta[keep], vs[keep]
+    rho = np.array([np.sum((p.y - vy) ** 2, axis=1)
+                    + np.sum((p.eta - veta) ** 2, axis=1) for p in points])
+    s = np.array([p.s - vs - 2.0 * (veta @ p.y) + 2.0 * (vy @ p.eta)
+                  for p in points])
+    kv, _ = schrodinger_batch(d, t, rho.reshape(-1), s.reshape(-1), tol)
+    return kv.reshape(rho.shape) @ amp
+
+
+def test_convolution_equals_explicit_pair_sum_d1():
+    # the dispersion --fast shape at its first time
+    u0 = bump_profile(1.0)
+    points, _ = _ball_eval_points(1, 2.0, 7, 9)
+    spec = convolution_grid(u0, n=17)
+    vals, err = evolve_by_convolution(u0, 4.0, points, spec, tol=1e-8)
+    want = _pair_sum(u0, 4.0, points, spec, 1e-8)
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0.0)
+    assert 0.0 < err < 1e-10
+
+
+def test_convolution_equals_explicit_pair_sum_d2():
+    def profile(rho, s):
+        q = np.minimum((rho * rho + s * s) / 0.4096, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(q < 1.0, np.exp(-q / (1.0 - q)), 0.0)
+
+    u0 = RadialFunction(profile=profile, support_rho=0.64, support_s=0.64,
+                        d=2)
+    spec = convolution_grid(u0, n=7)
+    points = [GroupPoint(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.0),
+              GroupPoint(np.array([0.5, -0.2]), np.array([0.1, 0.3]), 0.7),
+              GroupPoint(np.array([-0.3, 0.4]), np.array([0.6, -0.5]), -1.1)]
+    vals, _ = evolve_by_convolution(u0, 1.5, points, spec, tol=1e-8)
+    want = _pair_sum(u0, 1.5, points, spec, 1e-8)
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        evolve_by_convolution(u0, 1.5, points, GridSpec(spec.axes[1:]))
 
 
 def test_convolution_strip_guard():
