@@ -8,8 +8,7 @@ pure numpy version.  Selection order:
   2. HLAB_BACKEND environment variable,
   3. numba if importable, numpy otherwise.
 
-Both paths are exercised by the test suite; benchmarks/bench_backends.py
-compares their throughput.
+Both paths are exercised by the test suite.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Writes the experiment's CSV table to stdout (or --out FILE) and a one
 line summary to stderr.  Exit codes: 0 all rows pass, 1 some row fails,
-2 configuration problem.  Options may also come from a key=value config
-file via --config; command line values override the file, the file
+2 configuration problem, 3 numerical failure (a quadrature that does not
+converge, a kernel query outside its strip, an exhausted series budget),
+reported as one line on stderr.  Options may also come from a key=value
+config file via --config; command line values override the file, the file
 overrides built-in defaults.
 """
 
@@ -13,6 +15,8 @@ import argparse
 import sys
 
 from .experiments import CATALOG, ConfigError, ExperimentConfig, run
+from .kernels import BudgetExhausted, StripViolation
+from .quadrature import QuadratureError
 
 
 def _parse_times(text: str) -> tuple:
@@ -118,6 +122,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("hlab: %s" % exc, file=sys.stderr)
         return 2
+    except (QuadratureError, StripViolation, BudgetExhausted) as exc:
+        print("hlab: numerical failure: %s" % exc, file=sys.stderr)
+        return 3
     if cfg.out:
         with open(cfg.out, "w") as fh:
             report.to_csv(fh)

@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ConfigError("R0 must be positive")
         if self.experiment in ("dispersion", "strichartz-window",
                                "kernel-consistency"):
+            # bump_profile and the convolution grid are built for d = 1
+            if self.d != 1:
+                raise ConfigError("%s is computed only at d = 1, not d = %d"
+                                  % (self.experiment, self.d))
             if self.kappa ** 2 >= 4 * self.d:
                 raise ConfigError(
                     "kappa = %g too large: the dispersion constant needs "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .group import GroupPoint, product
 from .quadrature import integrate_adaptive
-from .special import hermite_table, laguerre_table
+from .special import hermite_table, laguerre_sweep, laguerre_table
 
 
 @dataclass
@@ -240,8 +240,14 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     s, ws = _gauss_legendre(-f.support_s, f.support_s, n_s)
     table = f.table(rho, s)
 
-    # Streamed over lam chunks and the Laguerre recurrence: the full
+    # Streamed over lam blocks and the Laguerre sweep: the full
     # (ell, rho, lam) table would not fit once ell_max or the grid grows.
+    # A block holds _FWD_CHUNK elements, small enough that its weights, the
+    # sweep's three buffers and the product stay in cache across every ell
+    # step.  The rho sum stays a plain sum over axis 0: numpy adds the rows
+    # of a block wider than one column in order, as it did over one large
+    # chunk, so the values are the same bits; einsum or a matmul here would
+    # reorder the sum.
     alpha = d - 1.0
     rad_w = wr * rho ** (d - 1)
     base = math.pi ** d / math.factorial(d - 1)
@@ -257,22 +263,17 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
         x = 2.0 * np.outer(rho, np.abs(lc))
         wa = (np.exp(-np.outer(rho, np.abs(lc)))
               * rad_w[:, None]) * a
-        values[0, lo:hi] = wa.sum(axis=0)
-        if ell_max >= 1:
-            lk_prev = np.ones_like(x)
-            lk = 1.0 + alpha - x
-            values[1, lo:hi] = (wa * lk).sum(axis=0)
-            for k in range(1, ell_max):
-                lk_prev, lk = lk, ((2 * k + 1 + alpha - x) * lk
-                                   - (k + alpha) * lk_prev) / (k + 1)
-                values[k + 1, lo:hi] = (wa * lk).sum(axis=0)
+        prod = np.empty_like(wa)
+        for k, lk in enumerate(laguerre_sweep(ell_max, alpha, x)):
+            term = np.multiply(wa, lk, out=prod) if k else wa   # L_0 = 1
+            values[k, lo:hi] = term.sum(axis=0)
     values *= consts[:, None]
     return SpectralCoefficients(d=d, lambda_grid=lam,
                                 weights=np.asarray(lambda_weights, float),
                                 values=values)
 
 
-_FWD_CHUNK = 2_000_000
+_FWD_CHUNK = 16_384
 _INV_CHUNK = 8192
 
 
@@ -301,15 +302,13 @@ def synthesize(c: SpectralCoefficients, rho, s) -> np.ndarray:
         hi = min(lo + _INV_CHUNK, rho_f.size)
         x = 2.0 * np.outer(rho_f[lo:hi], alam)          # (n, J)
         damp = np.exp(-np.outer(rho_f[lo:hi], alam))
-        acc = c.values[0][None, :] * damp
-        if c.ell_max >= 1:
-            lk_prev = np.ones_like(x)
-            lk = 1.0 + alpha - x
-            acc = acc + c.values[1][None, :] * damp * lk
-            for k in range(1, c.ell_max):
-                lk_prev, lk = lk, ((2 * k + 1 + alpha - x) * lk
-                                   - (k + alpha) * lk_prev) / (k + 1)
-                acc = acc + c.values[k + 1][None, :] * damp * lk
+        acc = c.values[0][None, :] * damp                # L_0 = 1
+        term = np.empty_like(acc)
+        for k, lk in enumerate(laguerre_sweep(c.ell_max, alpha, x)):
+            if k:
+                np.multiply(c.values[k][None, :], damp, out=term)
+                term *= lk
+                acc += term
         phase = np.exp(1j * np.outer(s_f[lo:hi], lam))
         out[lo:hi] = const * ((acc * phase) @ wl)
     return out.reshape(shape)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import backend
 from .quadrature import Integrand1D, integrate_adaptive, integrate_exponential_tail
-from .special import (TruncationBudget, laguerre_table, sinh_ratio_log,
-                      sinh_ratio_pow, tau_over_tanh2)
+from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
+                      sinh_ratio_log, sinh_ratio_pow, tau_over_tanh2)
 
 
 class StripViolation(Exception):
@@ -129,22 +129,12 @@ def _laguerre_series_tail(ell: int, alpha: float, x: np.ndarray,
     geometrically; the direct generating-function difference loses all
     digits there.
     """
-    lk_back = np.ones_like(x)        # L_{k-2} once k >= 2
-    lk = 1.0 + alpha - x             # L_{k-1} once k >= 2
     acc = np.zeros_like(x, dtype=complex)
     rk = np.ones_like(r)
     calm = 0
-    for k in range(0, ell + 2000):
-        if k == 0:
-            lcur = lk_back
-        elif k == 1:
-            lcur = lk
-        else:
-            lk_back, lk = lk, ((2 * (k - 1) + 1 + alpha - x) * lk
-                               - ((k - 1) + alpha) * lk_back) / k
-            lcur = lk
+    for k, lk in enumerate(laguerre_sweep(ell + 1999, alpha, x)):
         if k >= ell:
-            term = rk * lcur
+            term = rk * lk
             acc = acc + term
             if np.max(np.abs(term)) < 1e-17 * max(np.max(np.abs(acc)), 1e-300):
                 calm += 1

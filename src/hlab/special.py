@@ -1,9 +1,12 @@
 """Special functions: orthonormal Hermite, Laguerre, Mehler sums, and the
 singular hyperbolic ratios that drive every kernel integrand.
 
-All recurrences are done iteratively in the value domain.  The Laguerre
-recurrence keeps whatever dtype the argument carries, so it also serves the
-complex arguments that show up in restricted kernels.
+All recurrences are done iteratively in the value domain.  `laguerre_sweep`
+is the one Laguerre recurrence: `laguerre_table`, the restricted-kernel
+series and both radial transforms run through it.  It keeps whatever dtype
+the argument carries, so it also serves the complex arguments that show up
+in restricted kernels.  `laguerre` is the independent reference the tests
+compare against; it adds a power-of-two rescaling beyond degree 150.
 """
 
 from __future__ import annotations
@@ -119,18 +122,47 @@ def laguerre(ell: int, alpha: float, x):
     return out[0] if scalar else out
 
 
+def laguerre_sweep(ell_max: int, alpha: float, x):
+    """Yield L_0 .. L_{ell_max} of order alpha at x, one degree at a time.
+
+    Runs ((2k+1+alpha-x) L_k - (k+alpha) L_{k-1}) / (k+1) in place in three
+    rotating buffers shaped like x (complex if x is, float otherwise), with
+    the same IEEE operations in the same order as the plain expression.  A
+    yielded array is overwritten by a later step: use or copy it before
+    advancing.  L_0 comes as the scalar 1 of that dtype, which broadcasts
+    against x, so short sweeps over large x allocate no more than they
+    need.  There is no rescaling, so intermediates must stay finite (see
+    `laguerre` for high degrees).
+    """
+    if ell_max < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    yield x.dtype.type(1)
+    if ell_max == 0:
+        return
+    cur = 1.0 + alpha - x
+    yield cur
+    if ell_max == 1:
+        return
+    prev, nxt = np.ones_like(x), np.empty_like(x)
+    for k in range(1, ell_max):
+        np.subtract(2 * k + 1 + alpha, x, out=nxt)
+        nxt *= cur
+        prev *= k + alpha
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
+
+
 def laguerre_table(ell_max: int, alpha: float, x) -> np.ndarray:
     """L_0 .. L_{ell_max} at x, shape (ell_max + 1,) + x.shape."""
     if ell_max < 0:
         raise ValueError("degree must be nonnegative")
     xa = np.atleast_1d(np.asarray(x, dtype=complex if np.iscomplexobj(x) else float))
     out = np.empty((ell_max + 1,) + xa.shape, dtype=xa.dtype)
-    out[0] = 1.0
-    if ell_max >= 1:
-        out[1] = 1.0 + alpha - xa
-    for k in range(1, ell_max):
-        out[k + 1] = ((2 * k + 1 + alpha - xa) * out[k]
-                      - (k + alpha) * out[k - 1]) / (k + 1)
+    for k, lk in enumerate(laguerre_sweep(ell_max, alpha, xa)):
+        out[k] = lk
     return out
 
 

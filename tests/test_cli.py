@@ -122,6 +122,9 @@ def test_main_config_errors(capsys):
         (["mkappa", "--t", "1,zebra"], "cannot parse time list"),
         (["mkappa", "--d", "0"], "d must be a positive integer"),
         (["dispersion", "--kappa", "2.0"], "too large"),
+        (["dispersion", "--d", "2", "--fast"], "only at d = 1"),
+        (["strichartz-window", "--d", "2", "--fast"], "only at d = 1"),
+        (["kernel-consistency", "--d", "2", "--fast"], "only at d = 1"),
     )
     for argv, needle in cases:
         code = main(argv)
@@ -130,6 +133,17 @@ def test_main_config_errors(capsys):
         assert out == ""
         assert err.startswith("hlab: ")
         assert needle in err
+
+
+def test_main_numerical_failure_exit_three(capsys):
+    # at d = 2 the dispersion constant's quadrature runs out of panels
+    # near the endpoint kappa^2 = 4d
+    code = main(["mkappa", "--d", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("hlab: numerical failure: panel budget")
+    assert err.count("\n") == 1
 
 
 # The console script exists only once the package is installed; look in

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hlab import fourier
 from hlab.fourier import (FrequencyPoint, RadialFunction,
                           SpectralCoefficients, analyze, bump_profile,
                           coefficients_from_csv, coefficients_to_csv,
@@ -16,6 +17,7 @@ from hlab.fourier import (FrequencyPoint, RadialFunction,
                           synthesize, vertical_translate, wigner_general_d1,
                           wigner_radial, sublaplacian_fd)
 from hlab.group import GroupPoint
+from hlab.special import laguerre
 
 
 def test_block_profile_closed_forms():
@@ -109,6 +111,47 @@ def test_analyze_matches_single_point_quadrature():
         for j, lam in enumerate(grid):
             want = forward_coefficient(f, ell, float(lam), n_rho=256)
             assert c.values[ell, j] == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+
+def _analyze_reference(f, ell_max, grid, n_rho, n_s):
+    """Forward coefficients by a plain loop over lam and ell, one call of
+    `laguerre` per degree instead of the sweep."""
+    d = f.d
+    xr, wr = np.polynomial.legendre.leggauss(n_rho)
+    rho, wr = 0.5 * f.support_rho * (xr + 1.0), 0.5 * f.support_rho * wr
+    xs, ws = np.polynomial.legendre.leggauss(n_s)
+    s, ws = f.support_s * xs, f.support_s * ws
+    table = f.profile(rho[:, None], s[None, :])
+    out = np.empty((ell_max + 1, grid.size), dtype=complex)
+    for j, lam in enumerate(grid):
+        a = abs(lam)
+        vert = table @ (ws * np.exp(-1j * s * lam))
+        weight = wr * rho ** (d - 1) * np.exp(-a * rho) * vert
+        for ell in range(ell_max + 1):
+            lag = laguerre(ell, d - 1.0, 2.0 * a * rho)
+            out[ell, j] = (math.pi ** d / math.factorial(d - 1)
+                           / multiplicity(ell, d) * np.sum(weight * lag))
+    return out
+
+
+@pytest.mark.parametrize("one_column", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_analyze_matches_plain_loop(d, one_column, monkeypatch):
+    bump = bump_profile(1.1)
+    if d == 1:
+        f = bump
+        grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=7)
+    else:
+        f = RadialFunction(profile=bump.profile, support_rho=bump.support_rho,
+                           support_s=bump.support_s, d=2)
+        grid, w = single_sign_lambda_grid(0.2, 6.0, 13)
+    if one_column:
+        monkeypatch.setattr(fourier, "_FWD_CHUNK", 1)
+    c = analyze(f, ell_max=6, lambda_grid=grid, lambda_weights=w,
+                n_rho=16, n_s=24)
+    np.testing.assert_allclose(c.values,
+                               _analyze_reference(f, 6, grid, 16, 24),
+                               rtol=1e-13)
 
 
 def test_real_data_has_hermitian_coefficients():

@@ -70,11 +70,16 @@ def test_laguerre_rescale_path_matches_scipy():
 
 
 def test_laguerre_table_matches_rows():
-    x = np.linspace(0.0, 8.0, 9)
-    table = laguerre_table(30, 0.0, x)
-    assert table.shape == (31, 9)
-    for ell in (0, 11, 30):
-        assert np.allclose(table[ell], laguerre(ell, 0.0, x))
+    # up to degree 150 `laguerre` runs the same operations in the same
+    # order as the in-place sweep, so the rows agree bit for bit
+    real = np.linspace(0.0, 8.0, 9)
+    for x in (real, real * (0.7 - 0.4j)):
+        for alpha in (0.0, 1.0):
+            table = laguerre_table(30, alpha, x)
+            assert table.shape == (31, 9)
+            assert table.dtype == x.dtype
+            for ell in (0, 1, 2, 3, 11, 30):
+                assert np.array_equal(table[ell], laguerre(ell, alpha, x))
 
 
 def test_laguerre_at_zero():
