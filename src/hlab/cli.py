@@ -41,7 +41,6 @@ def _parse_bool(text: str) -> bool:
 _FILE_KEYS = {
     "d": ("d", int),
     "kappa": ("kappa", float),
-    "ell": ("ell", int),
     "r0": ("r0", float),
     "t": ("t_values", _parse_times),
     "tol": ("tol", float),
@@ -85,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(sorted(CATALOG)))
     p.add_argument("--d", type=int, default=None, metavar="N")
     p.add_argument("--kappa", type=float, default=None, metavar="X")
-    p.add_argument("--ell", type=int, default=None, metavar="L")
     p.add_argument("--R0", type=float, default=None, dest="r0", metavar="X")
     p.add_argument("--t", type=str, default=None, metavar="a,b,c",
                    help="comma separated list of times")
@@ -104,7 +102,7 @@ def build_config(argv) -> ExperimentConfig:
     if args.config:
         settings.update(read_config_file(args.config))
     cli_values = {
-        "d": args.d, "kappa": args.kappa, "ell": args.ell, "r0": args.r0,
+        "d": args.d, "kappa": args.kappa, "r0": args.r0,
         "t_values": _parse_times(args.t) if args.t is not None else None,
         "tol": args.tol, "grid": args.grid, "out": args.out,
         "fast": args.fast, "seed": args.seed,

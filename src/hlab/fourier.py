@@ -11,7 +11,6 @@ Plancherel weight |lam|^d.  The sublaplacian acts diagonally with symbol
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupPoint, product
-from .quadrature import integrate_adaptive
+from .quadrature import gauss_panels, integrate_adaptive, simpson_rule
 from .special import hermite_table, laguerre_sweep, laguerre_table
 
 
@@ -190,26 +189,10 @@ def single_sign_lambda_grid(lo: float, hi: float, n: int, sign: int = 1):
     """Simpson grid on one side of the frequency axis, linear spacing."""
     if not (0.0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    x = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    if n % 2 == 1 and n >= 3:
-        w = np.full(n, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= h / 3.0
-    else:
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
+    x, w = simpson_rule(lo, hi, n)
     if sign < 0:
         return -x[::-1], w[::-1]
     return x, w
-
-
-def _gauss_legendre(lo: float, hi: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * x, half * w
 
 
 def _default_n_s(support_s: float, lam_max: float) -> int:
@@ -236,8 +219,8 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     lam = np.asarray(lambda_grid, dtype=float)
     if n_s is None:
         n_s = _default_n_s(f.support_s, float(np.max(np.abs(lam))))
-    rho, wr = _gauss_legendre(0.0, f.support_rho, n_rho)
-    s, ws = _gauss_legendre(-f.support_s, f.support_s, n_s)
+    rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
+    s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
 
     # Streamed over lam blocks and the Laguerre sweep: the full
@@ -321,8 +304,8 @@ def forward_coefficient(f: RadialFunction, ell: int, lam: float,
     d = f.d
     if n_s is None:
         n_s = _default_n_s(f.support_s, abs(point.lam)) + 64
-    rho, wr = _gauss_legendre(0.0, f.support_rho, n_rho)
-    s, ws = _gauss_legendre(-f.support_s, f.support_s, n_s)
+    rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
+    s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
     vert = table @ (ws * np.exp(-1j * s * point.lam))
     blk = wigner_radial_alpha(point.ell, point.lam, rho, d - 1.0)
@@ -364,8 +347,8 @@ def spatial_inner(f: RadialFunction, g: RadialFunction,
     d = f.d
     rho_max = max(f.support_rho, g.support_rho)
     s_max = max(f.support_s, g.support_s)
-    rho, wr = _gauss_legendre(0.0, rho_max, n_rho)
-    s, ws = _gauss_legendre(-s_max, s_max, n_s)
+    rho, wr = gauss_panels(0.0, rho_max, 1, n_rho)
+    s, ws = gauss_panels(-s_max, s_max, 1, n_s)
     tf = f.table(rho, s)
     tg = g.table(rho, s)
     base = math.pi ** d / math.factorial(d - 1)
@@ -434,68 +417,6 @@ def sublaplacian_fd(f: Callable, w: GroupPoint, h: float = 1e-3):
             wm = GroupPoint(-wp.y, -wp.eta, 0.0)
             acc += f(product(w, wp)) + f(product(w, wm))
     return acc / (h * h)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-
-_CSV_HEADER = "ell,lambda,weight,re,im"
-
-
-def coefficients_to_csv(c: SpectralCoefficients, path_or_file) -> None:
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
-        fh.write("# schema=1\n")
-        fh.write("# d=%d\n" % c.d)
-        fh.write(_CSV_HEADER + "\n")
-        for ell in range(c.ell_max + 1):
-            for j, lam in enumerate(c.lambda_grid):
-                v = c.values[ell, j]
-                fh.write("%d,%.17g,%.17g,%.17g,%.17g\n"
-                         % (ell, lam, c.weights[j], v.real, v.imag))
-    finally:
-        if own:
-            fh.close()
-
-
-def coefficients_from_csv(path_or_file) -> SpectralCoefficients:
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
-    d = 1
-    rows = []
-    for line in io.StringIO(text):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.replace(" ", "").startswith("#d="):
-                d = int(line.split("=", 1)[1])
-            continue
-        if line == _CSV_HEADER:
-            continue
-        parts = line.split(",")
-        rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                     float(parts[3]), float(parts[4])))
-    if not rows:
-        raise ValueError("no coefficient rows found")
-    ell_max = max(r[0] for r in rows)
-    lam_list = sorted({r[1] for r in rows})
-    j_of = {lam: j for j, lam in enumerate(lam_list)}
-    grid = np.array(lam_list)
-    weights = np.zeros(grid.size)
-    values = np.zeros((ell_max + 1, grid.size), dtype=complex)
-    for ell, lam, wgt, re, im in rows:
-        j = j_of[lam]
-        weights[j] = wgt
-        values[ell, j] = re + 1j * im
-    return SpectralCoefficients(d=d, lambda_grid=grid, weights=weights,
-                                values=values)
 
 
 # ---------------------------------------------------------------------------

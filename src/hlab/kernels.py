@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .quadrature import Integrand1D, integrate_adaptive, integrate_exponential_tail
+from .quadrature import Integrand1D, gauss_panels, integrate_exponential_tail
 from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
-                      sinh_ratio_log, sinh_ratio_pow, tau_over_tanh2)
+                      sinh_ratio_log, tau_over_tanh2)
 
 
 class StripViolation(Exception):
@@ -451,30 +451,18 @@ def dispersive_onset_time(kappa: float, r0: float, d: int = 1) -> float:
 _TAU_PROBE = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 
 
-def _batch_tau_rule(z: complex, rho_max: float, smax: float, rate: float,
-                    tol: float, amplitude):
-    """The tau rule of the fixed-grid batches: (t_cut, width).
-
-    amplitude(tau) bounds |integrand| exp(rate |tau|) at the nodes tau
-    over every pair of the batch.  It is read on a fixed ladder, the
-    cut-off is placed where the two tails of C exp(-rate |tau|) fall
-    below tol / 2, and the bound is read again just inside that cut-off.
-    width caps the Gauss panels by the phase speed at the corner
-    (rho_max, smax); where the phase is slow it is t_cut, one panel per
-    side, which the halved-width error probe splits in two."""
-    c_amp = amplitude(_TAU_PROBE)
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    near = t_cut * np.array([0.55, 0.75, 0.95])
-    c_amp = max(c_amp, amplitude(near))
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    width = _osc_panel_width(z, rho_max, smax) or t_cut
-    return t_cut, width
-
-
 def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
                       tol: float):
     """Strip check and tau rule (z, t_cut, width) of the unitary kernel
-    for a batch of pairs with |s| <= smax and rho <= rho_max."""
+    for a batch of pairs with |s| <= smax and rho <= rho_max.
+
+    The worst-case envelope C of |integrand| exp(rate |tau|) over the
+    batch is read on a fixed ladder, the cut-off is placed where the two
+    tails of C exp(-rate |tau|) fall below tol / 2, and C is read again
+    just inside that cut-off.  width caps the Gauss panels by the phase
+    speed at the corner (rho_max, smax); where the phase is slow it is
+    t_cut, one panel per side, which the halved-width error probe splits
+    in two."""
     z = complex(0.0, -t)
     rate = 2.0 * d - smax / (2.0 * abs(t))
     if rate <= 0.0:
@@ -489,7 +477,12 @@ def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
                                    + at * smax / (2.0 * abs(t))
                                    + rate * at)))
 
-    t_cut, width = _batch_tau_rule(z, rho_max, smax, rate, tol, amplitude)
+    c_amp = amplitude(_TAU_PROBE)
+    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
+    near = t_cut * np.array([0.55, 0.75, 0.95])
+    c_amp = max(c_amp, amplitude(near))
+    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
+    width = _osc_panel_width(z, rho_max, smax) or t_cut
     return z, t_cut, width
 
 
@@ -521,21 +514,11 @@ def schrodinger_batch(d: int, t: float, rho, s, tol: float = 1e-6):
     return values, max(err, 1e-16 * scale)
 
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
-
 def _fixed_tau_rule(t_cut: float, width: float):
-    """Mirrored Gauss panels on [-T, T] with a panel edge at 0.
-
-    The edge matters: the restricted integrand has an |tau| kink at the
-    origin, harmless at a boundary but fatal inside a panel."""
+    """16-node Gauss panels of width at most width on [0, T], mirrored
+    onto [-T, 0]: a rule symmetric in tau with a panel edge at 0."""
     n_half = max(1, int(math.ceil(t_cut / width)))
-    edges = np.linspace(0.0, t_cut, n_half + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pos = (mids[:, None] + half * _GL16_X[None, :]).reshape(-1)
-    wpos = np.broadcast_to(half * _GL16_W[None, :],
-                           (n_half, 16)).reshape(-1)
+    pos, wpos = gauss_panels(0.0, t_cut, n_half, 16)
     tau = np.concatenate([-pos[::-1], pos])
     w = np.concatenate([wpos[::-1], wpos])
     return tau, w
@@ -547,125 +530,3 @@ def _fixed_grid_sum(d, z, rho, s, t_cut, width):
     t2t = tau_over_tanh2(tau)
     inv2z = 1.0 / (2.0 * z)
     return backend.kernel_tau_sum(rho, s, inv2z, tau, w, logratio, t2t)
-
-
-def restricted_batch(ell: int, d: int, t: float, rho, s, tol: float = 1e-6):
-    """Restricted kernel at many (rho, s) pairs on one shared tau grid.
-
-    Same contract as schrodinger_batch with the wider strip
-    |s| < 4 (2 ell + d) |t|.  Falls back to schrodinger_batch at ell = 0.
-    """
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    if ell == 0:
-        return schrodinger_batch(d, t, rho, s, tol)
-    t = float(t)
-    if t == 0.0:
-        raise ZeroTime("unitary kernel undefined at t = 0")
-    rho = np.ascontiguousarray(rho, dtype=float).reshape(-1)
-    s = np.ascontiguousarray(s, dtype=float).reshape(-1)
-    if rho.size != s.size:
-        raise ValueError("rho and s must have equal length")
-    if np.any(rho < 0.0):
-        raise ValueError("rho must be nonnegative")
-    z = complex(0.0, -t)
-    smax = float(np.max(np.abs(s))) if s.size else 0.0
-    rho_max = float(np.max(rho)) if rho.size else 0.0
-    rate = 2.0 * d + 4.0 * ell - smax / (2.0 * abs(t))
-    if rate <= 0.0:
-        raise StripViolation(
-            "batch point |s| = %g outside the strip 4 (2 ell + d) |t| = %g"
-            % (smax, 4.0 * (2 * ell + d) * abs(t)))
-
-    corners = [(0.0, smax), (0.0, -smax), (rho_max, smax), (rho_max, -smax)]
-
-    def amplitude(tau: np.ndarray) -> float:
-        points = np.concatenate([tau, -tau])
-        best = 1e-300
-        for rc, sc in corners:
-            vals = _integrand_values(d, z, np.full_like(points, rc),
-                                     np.full_like(points, sc), points, ell)
-            best = max(best, float(np.max(np.abs(vals)
-                                          * np.exp(rate * np.abs(points)))))
-        return best
-
-    t_cut, width = _batch_tau_rule(z, rho_max, smax, rate, tol, amplitude)
-
-    pref = (4.0 * math.pi * z) ** (-(d + 1))
-    values = pref * _restricted_fixed_sum(ell, d, z, rho, s, t_cut, width)
-    take = np.linspace(0, rho.size - 1, min(8, rho.size)).astype(int)
-    finer = pref * _restricted_fixed_sum(ell, d, z, rho[take], s[take],
-                                         t_cut, 0.5 * width)
-    err = float(np.max(np.abs(finer - values[take])))
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    return values, max(err, 1e-16 * scale)
-
-
-_BATCH_CHUNK = 2048
-
-
-def _restricted_fixed_sum(ell, d, z, rho, s, t_cut, width):
-    tau, w = _fixed_tau_rule(t_cut, width)
-    m = tau.size
-    out = np.empty(rho.size, dtype=np.complex128)
-    for lo in range(0, rho.size, _BATCH_CHUNK):
-        hi = min(lo + _BATCH_CHUNK, rho.size)
-        b = hi - lo
-        rho_f = np.repeat(rho[lo:hi], m)
-        s_f = np.repeat(s[lo:hi], m)
-        tau_f = np.tile(tau, b)
-        vals = _integrand_values(d, z, rho_f, s_f, tau_f, ell)
-        out[lo:hi] = vals.reshape(b, m) @ w
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Batch CSV interface
-
-def queries_from_csv(fh) -> list:
-    """Read KernelQuery rows.
-
-    Expects columns d, rho, s and either t or the pair re_z, im_z.
-    Lines starting with # are skipped."""
-    import csv
-
-    rows = [r for r in csv.reader(line for line in fh
-                                  if not line.lstrip().startswith("#"))
-            if r]
-    header = [h.strip() for h in rows[0]]
-    idx = {name: i for i, name in enumerate(header)}
-    for need in ("d", "rho", "s"):
-        if need not in idx:
-            raise ValueError("missing column %r" % need)
-    complex_time = "re_z" in idx
-    if not complex_time and "t" not in idx:
-        raise ValueError("need a t column or re_z, im_z columns")
-    out = []
-    for r in rows[1:]:
-        if complex_time:
-            t_or_z = complex(float(r[idx["re_z"]]), float(r[idx["im_z"]]))
-        else:
-            t_or_z = float(r[idx["t"]])
-        out.append(KernelQuery(d=int(r[idx["d"]]), t_or_z=t_or_z,
-                               rho=float(r[idx["rho"]]),
-                               s=float(r[idx["s"]])))
-    return out
-
-
-def results_to_csv(fh, queries, results):
-    """Write query/result pairs with the schema header line."""
-    if len(queries) != len(results):
-        raise ValueError("queries and results differ in length")
-    complex_time = any(isinstance(q.t_or_z, complex)
-                       and q.t_or_z.imag != 0.0 for q in queries)
-    fh.write("# schema=1\n")
-    time_cols = "re_z,im_z" if complex_time else "t"
-    fh.write("d,%s,rho,s,re,im,quad_error,truncation_point\n" % time_cols)
-    for q, r in zip(queries, results):
-        z = complex(q.t_or_z)
-        tc = ("%.17g,%.17g" % (z.real, z.imag) if complex_time
-              else "%.17g" % z.real)
-        fh.write("%d,%s,%.17g,%.17g,%.17g,%.17g,%.3g,%.6g\n"
-                 % (q.d, tc, q.rho, q.s, r.value.real, r.value.imag,
-                    r.quad_error, r.truncation_point))

@@ -3,8 +3,9 @@
 One dimensional integrals use adaptive Gauss-Kronrod (G7, K15) with
 largest-error-first bisection.  Integrals over the whole line with a known
 exponential envelope are truncated symmetrically at a point T chosen from
-the envelope, never through variable transforms.  Box integrals use tensor
-product Simpson rules with an optional stride-2 Richardson check.
+the envelope, never through variable transforms.  The fixed rules are
+composite Gauss-Legendre panels (gauss_panels) and Simpson on a uniform
+axis (simpson_rule); box integrals use tensor products of the latter.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,15 +28,6 @@ class QuadratureError(Exception):
 
 class QuadratureNonConvergence(QuadratureError):
     """Panel budget ran out; carries the best value and error so far."""
-
-    def __init__(self, message, value=None, err=None):
-        super().__init__(message)
-        self.value = value
-        self.err = err
-
-
-class GridTooCoarse(QuadratureError):
-    """Richardson estimate exceeded the requested tolerance."""
 
     def __init__(self, message, value=None, err=None):
         super().__init__(message)
@@ -242,6 +235,27 @@ def integrate_exponential_tail(integrand: Integrand1D, tol: float,
 
 
 # ---------------------------------------------------------------------------
+# Fixed rules
+
+@lru_cache(maxsize=32)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_panels(a: float, b: float, n_panels: int, per_panel: int):
+    """Composite Gauss-Legendre rule: n_panels equal panels on [a, b],
+    per_panel nodes each.  Returns (nodes, weights), ascending."""
+    x, w = _leggauss(per_panel)
+    edges = np.linspace(a, b, n_panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mids[:, None] + half * x[None, :]).reshape(-1)
+    weights = np.broadcast_to(half * w[None, :],
+                              (n_panels, per_panel)).reshape(-1)
+    return nodes, weights.copy()
+
+
+# ---------------------------------------------------------------------------
 # Tensor grids
 
 @dataclass
@@ -264,7 +278,7 @@ class GridSpec:
         return cls(tuple(bounds))
 
 
-def _axis_rule(lo: float, hi: float, n: int):
+def simpson_rule(lo: float, hi: float, n: int):
     """Nodes and weights on one axis: Simpson when n is odd, trapezoid else."""
     x = np.linspace(lo, hi, n)
     h = (hi - lo) / (n - 1)
@@ -283,7 +297,7 @@ def grid_nodes_weights(spec: GridSpec):
     """Per-axis (nodes, weights) lists for a GridSpec."""
     nodes, weights = [], []
     for lo, hi, n in spec.axes:
-        x, w = _axis_rule(lo, hi, n)
+        x, w = simpson_rule(lo, hi, n)
         nodes.append(x)
         weights.append(w)
     return nodes, weights
@@ -303,60 +317,6 @@ def _flatten_grid(spec: GridSpec):
 
 def _group_coords(pts: np.ndarray, d: int):
     return pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
-
-
-def tensor_integrate(f: Callable, spec: GridSpec, tol: float | None = None,
-                     vectorized: bool = False):
-    """Integrate f over the box described by spec.
-
-    The grid axes are read as (y_1..y_d, eta_1..eta_d, s), so the axis count
-    must be odd.  f maps a GroupPoint to a scalar, or, when vectorized is
-    set, maps (y (N,d), eta (N,d), s (N,)) to an (N,) array.
-
-    When tol is given and every axis has points congruent to 1 mod 4, the
-    stride-2 subgrid gives a Richardson error estimate; GridTooCoarse is
-    raised if it exceeds tol.  Returns (value, err) with err = nan when the
-    estimate is unavailable.
-    """
-    k = len(spec.axes)
-    if k % 2 != 1 or k < 3:
-        raise ValueError("expected axes (y_1..y_d, eta_1..eta_d, s)")
-    d = (k - 1) // 2
-    pts, w = _flatten_grid(spec)
-    y, eta, s = _group_coords(pts, d)
-    if vectorized:
-        vals = np.asarray(f(y, eta, s))
-    else:
-        vals = np.array([f(GroupPoint(y[i], eta[i], s[i]))
-                         for i in range(pts.shape[0])])
-    fine = complex(w @ vals)
-
-    shape = tuple(n for _, _, n in spec.axes)
-    err = float("nan")
-    richardson_ok = all((n - 1) % 4 == 0 and n >= 5 for n in shape)
-    if richardson_ok:
-        grid_vals = vals.reshape(shape)
-        sub = grid_vals[tuple(slice(None, None, 2) for _ in shape)]
-        coarse_spec = GridSpec(tuple((lo, hi, (n + 1) // 2)
-                                     for lo, hi, n in spec.axes))
-        _, cw = grid_nodes_weights(coarse_spec)
-        cmesh = np.meshgrid(*cw, indexing="ij")
-        cwfull = cmesh[0].copy()
-        for wm in cmesh[1:]:
-            cwfull = cwfull * wm
-        coarse = complex(np.sum(cwfull * sub))
-        err = abs(fine - coarse) / 15.0
-    if tol is not None:
-        if not richardson_ok:
-            raise ValueError(
-                "error estimate needs every axis to have 4k+1 points")
-        if err > tol:
-            raise GridTooCoarse(
-                "Richardson estimate %.3e exceeds tol %.3e" % (err, tol),
-                value=fine, err=err)
-    if abs(fine.imag) < 1e-300 and not np.iscomplexobj(vals):
-        return fine.real, err
-    return fine, err
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +376,8 @@ def lp_norm_on_ball_radial(profile: Callable, p: float, radius: float,
     the quarter-plane slice rho >= 0, rho^2 + s^2 < radius^4.
     """
     r2 = float(radius) ** 2
-    rho, wr = _axis_rule(0.0, r2, n_rho)
-    s, ws = _axis_rule(-r2, r2, n_s)
+    rho, wr = simpson_rule(0.0, r2, n_rho)
+    s, ws = simpson_rule(-r2, r2, n_s)
     R, S = np.meshgrid(rho, s, indexing="ij")
     mask = R * R + S * S < r2 * r2
     vals = np.abs(np.asarray(profile(R, S)))

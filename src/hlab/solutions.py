@@ -8,8 +8,8 @@ Two families of initial data:
     transported along s at speed 4 (2 ell + d) per unit time, with exact
     concentration on the hyperplane s = -sign * 4 (2 ell + d) t.
 
-  * bump_data: a smooth compactly supported radial bump (dispersive decay
-    experiments).
+  * fourier.bump_profile: a smooth compactly supported radial bump
+    (dispersive decay experiments).
 
 Each solution can be computed three ways: the exact integral (value), the
 grid transform route (spectral_coefficients + evolve + synthesize), and
@@ -26,33 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .fourier import (RadialFunction, SpectralCoefficients, bump_profile,
+from .fourier import (RadialFunction, SpectralCoefficients,
                       single_sign_lambda_grid)
-from .group import GroupPoint
 from .kernels import (StripViolation, _fixed_grid_sum, _fixed_tau_rule,
                       _unitary_tau_rule)
-from .quadrature import (GridSpec, _flatten_grid, grid_nodes_weights,
-                         integrate_adaptive)
+from .quadrature import (GridSpec, _flatten_grid, gauss_panels,
+                         grid_nodes_weights, integrate_adaptive)
 from .special import laguerre_table, sinh_ratio_log, tau_over_tanh2
-
-
-@lru_cache(maxsize=32)
-def _gl_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_gl(a: float, b: float, n_panels: int, per_panel: int = 24):
-    x, w = _gl_rule(per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    mu = (mids[:, None] + half * x[None, :]).reshape(-1)
-    wm = np.broadcast_to(half * w[None, :], (n_panels, per_panel)).reshape(-1)
-    return mu, wm.copy()
 
 
 @dataclass
@@ -110,7 +93,7 @@ class LineData:
             a, b = self.band
             # The tolerance tracks the round-off floor of the mass itself,
             # which a wide band lifts above any fixed absolute target.
-            mu, wm = _panel_gl(a, b, 16)
+            mu, wm = gauss_panels(a, b, 16, 24)
             rough = abs(float(np.sum(self.raw_density(mu) * wm)))
             tol = max(1e-14, 64.0 * np.finfo(float).eps * rough)
             val, _ = integrate_adaptive(self.raw_density, a, b, tol)
@@ -157,7 +140,7 @@ class LineData:
         omega = self.lambda_sign * s_f + self.drift(t)
         osc = float(np.max(np.abs(omega))) * (b - a) if omega.size else 0.0
         n_panels = max(11, int(math.ceil(osc / (6.0 * math.pi))))
-        mu, wm = _panel_gl(a, b, n_panels)
+        mu, wm = gauss_panels(a, b, n_panels, 24)
         gv = self.density(mu) * mu ** self.d * wm
         out = np.empty(rho_f.size, dtype=complex)
         abs_sum = np.empty(rho_f.size)
@@ -218,7 +201,7 @@ class LineData:
             peak = abs(self.value(0.0, 0.0, 0.0))
             floor = 0.5e-12 * max(1.0, peak)
             a, b = self.band
-            mu, wm = _panel_gl(a, b, 16)
+            mu, wm = gauss_panels(a, b, 16, 24)
             gv = self.density(mu) * mu ** self.d * wm
 
             def radial_bound(rho):
@@ -348,14 +331,6 @@ def hyperplane_decay_exponent(data: LineData, t: float, rho: float = 0.0,
     roundoff = float(np.sum(weights * floor[keep] / env[keep]))
     return DecayFit(exponent=float(-slope), n_used=n_used,
                     n_points=n_points, roundoff=roundoff)
-
-
-# ---------------------------------------------------------------------------
-# Bump data
-
-def bump_data(r0: float, amplitude: float = 1.0) -> RadialFunction:
-    """Smooth compactly supported radial initial data (see bump_profile)."""
-    return bump_profile(r0, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +486,3 @@ def evolve_by_convolution(u0: RadialFunction, t: float, points,
     values = pref * _factorized_sum(d, z, tau, wt, nodes, amp_grid, points)
     err = kerr * float(np.sum(np.abs(amp[keep])))
     return values, err
-
-
-def trace_to_csv(fh, rows):
-    """Serialize solution samples.
-
-    Each row is (t, GroupPoint, value, route); columns follow the point
-    dimension, e.g. t, y1, eta1, s, re, im, route at d = 1."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to write")
-    d = rows[0][1].d
-    ys = ",".join("y%d" % (j + 1) for j in range(d))
-    es = ",".join("eta%d" % (j + 1) for j in range(d))
-    fh.write("# schema=1\n")
-    fh.write("t,%s,%s,s,re,im,route\n" % (ys, es))
-    for t, w, val, route in rows:
-        if w.d != d:
-            raise ValueError("mixed point dimensions")
-        val = complex(val)
-        coords = ",".join("%.17g" % c for c in np.concatenate([w.y, w.eta]))
-        fh.write("%.17g,%s,%.17g,%.17g,%.17g,%s\n"
-                 % (t, coords, w.s, val.real, val.imag, route))

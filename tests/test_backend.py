@@ -1,45 +1,10 @@
-"""Backend selection and numpy/numba agreement on the two hot loops."""
+"""The two vectorized hot loops against direct formulas."""
 
 import math
 
 import numpy as np
-import pytest
 
-from hlab import backend
-from hlab.backend import (NUMBA_AVAILABLE, active_backend, hermite_table,
-                          kernel_tau_sum, set_backend)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    set_backend(None)
-
-
-def test_set_backend_validates_names():
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-    set_backend(None)
-    assert active_backend() in ("numpy", "numba")
-
-
-def test_env_variable_is_honored(monkeypatch):
-    set_backend(None)
-    monkeypatch.setenv("HLAB_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("HLAB_BACKEND", "  NUMPY ")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("HLAB_BACKEND", "cuda")
-    # unknown values fall through to autodetection
-    assert active_backend() in ("numpy", "numba")
-
-
-def test_forced_backend_wins_over_env(monkeypatch):
-    monkeypatch.setenv("HLAB_BACKEND", "numpy")
-    set_backend("numpy")
-    assert active_backend() == "numpy"
+from hlab.backend import hermite_table, kernel_tau_sum
 
 
 def _tau_sum_args(rng):
@@ -56,7 +21,6 @@ def test_tau_sum_matches_direct_formula():
     rng = np.random.default_rng(7)
     rho, s, tau, w, logratio, t2t = _tau_sum_args(rng)
     inv2z = 0.4 - 0.9j
-    set_backend("numpy")
     got = kernel_tau_sum(rho, s, inv2z, tau, w, logratio, t2t)
     want = np.array([
         np.sum(w * np.exp(logratio + (1j * tau * s[i] - rho[i] * t2t) * inv2z))
@@ -65,7 +29,6 @@ def test_tau_sum_matches_direct_formula():
 
 
 def test_hermite_table_against_recurrence_free_values():
-    set_backend("numpy")
     x = np.array([-1.5, 0.0, 0.25, 2.0])
     tab = hermite_table(3, x)
     h0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -73,35 +36,3 @@ def test_hermite_table_against_recurrence_free_values():
     np.testing.assert_allclose(tab[1], math.sqrt(2) * x * h0, rtol=1e-15)
     np.testing.assert_allclose(
         tab[2], (2 * x * x - 1) / math.sqrt(2) * h0, rtol=1e-13, atol=1e-18)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-def test_backends_agree_on_hermite_table():
-    x = np.linspace(-30.0, 30.0, 211)
-    set_backend("numpy")
-    a = hermite_table(120, x)
-    set_backend("numba")
-    b = hermite_table(120, x)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-def test_backends_agree_on_tau_sum():
-    rng = np.random.default_rng(11)
-    rho, s, tau, w, logratio, t2t = _tau_sum_args(rng)
-    for inv2z in (0.5 + 0.0j, 0.1 - 2.3j, 0.05 + 0.7j):
-        set_backend("numpy")
-        a = kernel_tau_sum(rho, s, inv2z, tau, w, logratio, t2t)
-        set_backend("numba")
-        b = kernel_tau_sum(rho, s, inv2z, tau, w, logratio, t2t)
-        np.testing.assert_allclose(a, b, rtol=5e-13, atol=1e-300)
-
-
-def test_requesting_numba_without_numba_raises(monkeypatch):
-    monkeypatch.setattr(backend, "NUMBA_AVAILABLE", False)
-    with pytest.raises(RuntimeError):
-        set_backend("numba")
-    set_backend(None)
-    monkeypatch.setenv("HLAB_BACKEND", "numba")
-    with pytest.raises(RuntimeError):
-        active_backend()

@@ -57,9 +57,10 @@ def test_read_config_file_errors(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         read_config_file(str(bad))
-    bad.write_text("speed = 9\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        read_config_file(str(bad))
+    for text in ("speed = 9\n", "ell = 3\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            read_config_file(str(bad))
     bad.write_text("d = 1\nd = x\n")
     # conversion errors carry the file position
     with pytest.raises(ConfigError, match=r"bad\.cfg:2:"):
@@ -67,12 +68,10 @@ def test_read_config_file_errors(tmp_path):
 
 
 def test_build_config_flags():
-    cfg = build_config(["mkappa", "--R0", "2.5", "--t", "0.5,2",
-                        "--ell", "3"])
+    cfg = build_config(["mkappa", "--R0", "2.5", "--t", "0.5,2"])
     assert cfg.experiment == "mkappa"
     assert cfg.r0 == 2.5
     assert cfg.t_values == (0.5, 2.0)
-    assert cfg.ell == 3
     assert cfg.fast is False
     assert cfg.seed == 20260816
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from hlab.experiments import (CATALOG, ConfigError, ExperimentConfig,
-                              ExperimentReport, admissible_q, run)
+                              ExperimentReport, _trapezoid, _window_ratio,
+                              admissible_q, run)
 
 CHEAP = ("heat-equiv", "mehler", "concentrate", "restricted-sweep", "mkappa")
 
@@ -37,8 +38,6 @@ def test_config_validation():
         ExperimentConfig(experiment="concentrat").validate()
     with pytest.raises(ConfigError, match="positive integer"):
         ExperimentConfig(experiment="mkappa", d=0).validate()
-    with pytest.raises(ConfigError, match="nonnegative"):
-        ExperimentConfig(experiment="mkappa", ell=-1).validate()
     with pytest.raises(ConfigError, match="R0"):
         ExperimentConfig(experiment="mkappa", r0=0.0).validate()
     with pytest.raises(ConfigError, match="tol must be positive"):
@@ -114,6 +113,22 @@ def test_admissible_q():
         admissible_q(2.0)
     with pytest.raises(ValueError):
         admissible_q(1.5)
+
+
+def test_window_ratio_splits_at_the_geometric_middle():
+    t = np.array([1.0, 2.0, 4.0, 8.0])
+    # t^-2 is integrable at infinity: the tail weighs well under the head
+    assert _window_ratio(t, t ** -2) < 0.7
+    # t^-1 is the borderline: every doubling adds the same amount
+    assert _window_ratio(t, t ** -1) > 0.7
+    # the split point does not move the whole-window integral
+    y = t ** -2
+    mid = 8.0 ** 0.5
+    ym = np.interp(mid, t, y)
+    head = _trapezoid([1.0, 2.0, mid], [y[0], y[1], ym])
+    tail = _trapezoid([mid, 4.0, 8.0], [ym, y[2], y[3]])
+    assert head + tail == pytest.approx(_trapezoid(t, y), rel=1e-14)
+    assert _window_ratio(t, y) == pytest.approx(tail / head, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", CHEAP)

@@ -1,6 +1,5 @@
 """Radial transform layer: blocks, grids, Plancherel, diagonal flows."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hlab import fourier
 from hlab.fourier import (FrequencyPoint, RadialFunction,
                           SpectralCoefficients, analyze, bump_profile,
-                          coefficients_from_csv, coefficients_to_csv,
                           default_lambda_grid, evolve_heat,
                           evolve_schrodinger, forward_coefficient,
                           multiplicity, single_sign_lambda_grid,
@@ -250,25 +248,6 @@ def test_finite_difference_matches_symbol():
         got = sublaplacian_fd(mode, w)
         want = -symbol(ell, lam) * mode(w)
         assert got == pytest.approx(want, rel=5e-4)
-
-
-def test_coefficient_csv_round_trip(tmp_path):
-    c, _ = _band_limited()
-    path = str(tmp_path / "coeffs.csv")
-    coefficients_to_csv(c, path)
-    back = coefficients_from_csv(path)
-    assert back.d == c.d and back.ell_max == c.ell_max
-    assert np.array_equal(back.lambda_grid, c.lambda_grid)
-    assert np.array_equal(back.weights, c.weights)
-    assert np.array_equal(back.values, c.values)
-    # in-memory handles work too
-    buf = io.StringIO()
-    coefficients_to_csv(c, buf)
-    buf.seek(0)
-    again = coefficients_from_csv(buf)
-    assert np.array_equal(again.values, c.values)
-    with pytest.raises(ValueError):
-        coefficients_from_csv(io.StringIO("# schema=1\n"))
 
 
 def test_spectral_tail_of_bump_decays_like_one_over_ell():

@@ -1,19 +1,18 @@
 """Flow kernels: strip quadrature, series route, constants, batching."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
 from hlab.kernels import (BudgetExhausted, KernelQuery, StripViolation,
-                          ZeroTime, _laguerre_series_tail, dispersion_constant,
-                          dispersive_onset_time, heat_kernel_gaveau,
-                          heat_kernel_series, kernel_complex_time,
-                          queries_from_csv, restricted_batch,
-                          restricted_kernel, results_to_csv,
+                          ZeroTime, _fixed_tau_rule, _laguerre_series_tail,
+                          dispersion_constant, dispersive_onset_time,
+                          heat_kernel_gaveau, heat_kernel_series,
+                          kernel_complex_time, restricted_kernel,
                           schrodinger_batch, schrodinger_kernel,
                           series_term_closed, series_term_quadrature)
+from hlab.quadrature import gauss_panels
 from hlab.special import (TruncationBudget, laguerre_table, sinh_ratio_log,
                           tau_over_tanh2)
 
@@ -291,50 +290,17 @@ def test_batch_error_probe_on_a_single_panel():
     assert err >= 0.5 * abs(vals[0] - ref)
 
 
-def test_batch_matches_scalar_restricted():
-    rng = np.random.default_rng(6)
-    rho = rng.uniform(0.0, 2.5, 12)
-    s = rng.uniform(-6.0, 6.0, 12)
-    vals, _ = restricted_batch(2, 1, 1.0, rho, s, tol=1e-8)
-    assert np.all(np.isfinite(vals))
-    for i in range(0, rho.size, 2):
-        sv = restricted_kernel(
-            2, KernelQuery(t_or_z=1.0, rho=rho[i], s=s[i], tol=1e-9)).value
-        assert abs(sv - vals[i]) < 1e-8
-    # ell = 0 falls back to the plain batch
-    v0, _ = restricted_batch(0, 1, 0.8, rho[:4], s[:4] / 4.0, tol=1e-8)
-    v1, _ = schrodinger_batch(1, 0.8, rho[:4], s[:4] / 4.0, tol=1e-8)
-    np.testing.assert_array_equal(v0, v1)
-    with pytest.raises(StripViolation):
-        restricted_batch(1, 1, 0.1, [0.0], [4.0])
-
-
-def test_query_csv_round_trip():
-    text = ("# comment line\n"
-            "d,t,rho,s\n"
-            "1,0.5,0.25,0.1\n"
-            "1,1.5,0,0\n")
-    qs = queries_from_csv(io.StringIO(text))
-    assert len(qs) == 2
-    assert qs[0].t == 0.5 and qs[0].rho == 0.25 and qs[0].s == 0.1
-    results = [schrodinger_kernel(q) for q in qs]
-    out = io.StringIO()
-    results_to_csv(out, qs, results)
-    body = out.getvalue()
-    assert body.startswith("# schema=1\n")
-    assert "d,t,rho,s,re,im,quad_error,truncation_point" in body
-    assert len(body.strip().splitlines()) == 4
-
-    ztext = "d,rho,s,re_z,im_z\n1,0.1,0.2,0.3,-0.7\n"
-    zq = queries_from_csv(io.StringIO(ztext))
-    assert zq[0].z == 0.3 - 0.7j
-    zout = io.StringIO()
-    results_to_csv(zout, zq, [kernel_complex_time(zq[0])])
-    assert "re_z,im_z" in zout.getvalue().splitlines()[1]
-
-    with pytest.raises(ValueError):
-        queries_from_csv(io.StringIO("d,rho\n1,0\n"))
-    with pytest.raises(ValueError):
-        queries_from_csv(io.StringIO("d,rho,s\n1,0,0\n"))
-    with pytest.raises(ValueError):
-        results_to_csv(io.StringIO(), qs, results[:1])
+def test_fixed_tau_rule_is_mirrored_with_an_edge_at_zero():
+    t_cut = 5.3
+    for width in (t_cut, 1.0, 0.37):
+        tau, w = _fixed_tau_rule(t_cut, width)
+        np.testing.assert_array_equal(tau, -tau[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.diff(tau) > 0.0) and np.all(tau != 0.0)
+        assert w.sum() == pytest.approx(2.0 * t_cut, rel=1e-14)
+        # |tau| is a polynomial on every panel only if 0 is a panel edge
+        assert w @ np.abs(tau) == pytest.approx(t_cut * t_cut, rel=1e-14)
+        # the positive half is the composite 16-node rule on [0, T]
+        pos, wpos = gauss_panels(0.0, t_cut, math.ceil(t_cut / width), 16)
+        np.testing.assert_array_equal(tau[tau.size // 2:], pos)
+        np.testing.assert_array_equal(w[w.size // 2:], wpos)

@@ -1,4 +1,5 @@
-"""Quadrature layer: adaptive 1-D rules, tensor grids, gauge-ball norms."""
+"""Quadrature layer: adaptive 1-D rules, fixed rules, tensor grids,
+gauge-ball norms."""
 
 import math
 
@@ -7,12 +8,11 @@ import pytest
 from scipy import integrate as sci_integrate
 
 from hlab.group import GroupPoint, identity, inverse, product
-from hlab.quadrature import (EnvelopeError, GridSpec, GridTooCoarse,
-                             Integrand1D, QuadratureError,
-                             QuadratureNonConvergence, ball_box,
-                             grid_nodes_weights, integrate_adaptive,
-                             integrate_exponential_tail, lp_norm_on_ball,
-                             lp_norm_on_ball_radial, tensor_integrate)
+from hlab.quadrature import (EnvelopeError, GridSpec, Integrand1D,
+                             QuadratureError, QuadratureNonConvergence,
+                             ball_box, gauss_panels, grid_nodes_weights,
+                             integrate_adaptive, integrate_exponential_tail,
+                             lp_norm_on_ball, lp_norm_on_ball_radial)
 
 
 def test_panel_rule_is_exact_on_constants():
@@ -103,31 +103,21 @@ def test_grid_spec_validation():
     assert weights[2].sum() == pytest.approx(4.0, rel=1e-13)
 
 
-def test_tensor_integrate_gaussian_box():
-    spec = GridSpec(((-5.0, 5.0, 33), (-5.0, 5.0, 33), (-5.0, 5.0, 33)))
-    val, err = tensor_integrate(
-        lambda y, eta, s: np.exp(-(y[:, 0] ** 2 + eta[:, 0] ** 2 + s ** 2)),
-        spec, vectorized=True)
-    assert val == pytest.approx(math.pi ** 1.5, rel=1e-8)
-    # the estimate is driven by the stride-2 subgrid, so it is conservative
-    assert err < 5e-3
-
-
-def test_tensor_integrate_scalar_callable_and_coarse_grid():
-    spec = GridSpec(((-4.0, 4.0, 9), (-4.0, 4.0, 9), (-4.0, 4.0, 9)))
-    f = lambda w: math.exp(-w.horizontal_sq() - w.s ** 2)
-    with pytest.raises(GridTooCoarse) as exc:
-        tensor_integrate(f, spec, tol=1e-10)
-    assert exc.value.value is not None
-    # without a tol the same grid reports its estimate instead of raising
-    val, err = tensor_integrate(f, spec)
-    assert err > 1e-10
-    assert val == pytest.approx(math.pi ** 1.5, abs=20.0 * err)
-
-
-def test_tensor_integrate_rejects_even_axis_counts():
-    with pytest.raises(ValueError):
-        tensor_integrate(lambda w: 1.0, GridSpec(((-1, 1, 5), (-1, 1, 5))))
+def test_gauss_panels_exact_to_degree_2n_minus_1():
+    rng = np.random.default_rng(3)
+    a, b = -1.3, 2.1
+    for per_panel in (3, 8, 16):
+        for n_panels in (1, 4, 7):
+            x, w = gauss_panels(a, b, n_panels, per_panel)
+            assert x.shape == w.shape == (n_panels * per_panel,)
+            assert np.all(np.diff(x) > 0.0) and a < x[0] and x[-1] < b
+            poly = np.polynomial.Polynomial(
+                rng.uniform(-1.0, 1.0, 2 * per_panel))
+            exact = poly.integ()(b) - poly.integ()(a)
+            assert w @ poly(x) == pytest.approx(exact, rel=1e-12)
+    # one degree higher is no longer exact on a single panel
+    x, w = gauss_panels(-1.0, 1.0, 1, 3)
+    assert abs(w @ x ** 6 - 2.0 / 7.0) > 1e-2
 
 
 def test_ball_norms_radial_vs_general():

@@ -1,8 +1,5 @@
 """Explicit unitary-flow solutions and their evaluation routes."""
 
-import io
-import math
-
 import numpy as np
 import pytest
 
@@ -13,10 +10,9 @@ from hlab.kernels import (KernelQuery, StripViolation, schrodinger_batch,
                           schrodinger_kernel)
 from hlab.quadrature import (GridSpec, _flatten_grid, integrate_adaptive,
                              lp_norm_on_ball_radial)
-from hlab.solutions import (ConcentrationProbe, LineData, bump_data,
+from hlab.solutions import (ConcentrationProbe, LineData,
                             concentration_probe, convolution_grid,
-                            evolve_by_convolution,
-                            hyperplane_decay_exponent, trace_to_csv)
+                            evolve_by_convolution, hyperplane_decay_exponent)
 
 
 def test_line_data_validation():
@@ -149,11 +145,11 @@ def test_time_zero_trace_supports_are_honest():
 
 
 def test_bump_data_shape_and_mass():
-    u0 = bump_data(0.5)
+    u0 = bump_profile(0.5)
     assert u0.support_rho == 0.25 and u0.support_s == 0.25
     assert u0.profile(0.0, 0.0) == pytest.approx(1.0)
     assert u0.profile(0.3, 0.0) == 0.0
-    big = bump_data(0.5, amplitude=3.0)
+    big = bump_profile(0.5, amplitude=3.0)
     assert big.profile(0.01, 0.02) == pytest.approx(
         3.0 * u0.profile(0.01, 0.02), rel=1e-14)
     mass = lp_norm_on_ball_radial(u0.profile, 1.0, 0.51 ** 0.5, 1, 257, 257)
@@ -163,7 +159,7 @@ def test_bump_data_shape_and_mass():
 def test_convolution_far_field_is_mass_times_kernel():
     # once the kernel varies slowly across the support of u0, the
     # convolution collapses to total mass times the kernel value
-    u0 = bump_data(0.5)
+    u0 = bump_profile(0.5)
     mass = lp_norm_on_ball_radial(u0.profile, 1.0, 0.51 ** 0.5, 1, 257, 257)
     t = 20.0
     pts = [GroupPoint(np.array([0.4]), np.array([-0.3]), 2.0),
@@ -179,7 +175,7 @@ def test_convolution_far_field_is_mass_times_kernel():
 
 
 def test_convolution_grid_refinement_and_linearity():
-    u0 = bump_data(0.5)
+    u0 = bump_profile(0.5)
     pts = [GroupPoint(np.array([0.2]), np.array([0.1]), 0.3),
            GroupPoint(np.array([0.0]), np.array([0.0]), 0.0)]
     a, err_a = evolve_by_convolution(u0, 0.7, pts,
@@ -188,7 +184,7 @@ def test_convolution_grid_refinement_and_linearity():
                                  spec=convolution_grid(u0, n=49))
     assert np.max(np.abs(a - b)) < 1e-6
     assert err_a >= 0.0
-    doubled, _ = evolve_by_convolution(bump_data(0.5, amplitude=2.0), 0.7,
+    doubled, _ = evolve_by_convolution(bump_profile(0.5, amplitude=2.0), 0.7,
                                        pts, spec=convolution_grid(u0, n=33))
     np.testing.assert_allclose(doubled, 2.0 * a, rtol=1e-13)
 
@@ -243,7 +239,7 @@ def test_convolution_equals_explicit_pair_sum_d2():
 
 
 def test_convolution_strip_guard():
-    u0 = bump_data(1.0)
+    u0 = bump_profile(1.0)
     origin = [GroupPoint(np.array([0.0]), np.array([0.0]), 0.0)]
     with pytest.raises(StripViolation) as exc:
         evolve_by_convolution(u0, 0.2, origin)
@@ -251,24 +247,3 @@ def test_convolution_strip_guard():
     with pytest.raises(ValueError):
         evolve_by_convolution(u0, 1.0,
                               [GroupPoint(np.zeros(2), np.zeros(2), 0.0)])
-
-
-def test_trace_csv_layout():
-    w1 = GroupPoint(np.array([0.1]), np.array([-0.2]), 0.3)
-    w2 = GroupPoint(np.array([1.0]), np.array([2.0]), -3.0)
-    buf = io.StringIO()
-    trace_to_csv(buf, [(0.5, w1, 0.25 - 1.5j, "exact"),
-                       (0.5, w2, 2.0 + 0.0j, "grid")])
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# schema=1"
-    assert lines[1] == "t,y1,eta1,s,re,im,route"
-    first = lines[2].split(",")
-    assert float(first[0]) == 0.5 and float(first[4]) == 0.25
-    assert first[6] == "exact"
-    with pytest.raises(ValueError):
-        trace_to_csv(io.StringIO(), [])
-    with pytest.raises(ValueError):
-        trace_to_csv(io.StringIO(),
-                     [(0.0, w1, 0j, "a"),
-                      (0.0, GroupPoint(np.zeros(2), np.zeros(2), 0.0), 0j,
-                       "b")])
