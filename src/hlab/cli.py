@@ -4,9 +4,9 @@ Writes the experiment's CSV table to stdout (or --out FILE) and a one
 line summary to stderr.  Exit codes: 0 all rows pass, 1 some row fails,
 2 configuration problem, 3 numerical failure (a quadrature that does not
 converge, a kernel query outside its strip, an exhausted series budget),
-reported as one line on stderr.  Options may also come from a key=value
-config file via --config; command line values override the file, the file
-overrides built-in defaults.
+reported as one line on stderr.  The flags set the dimension, kappa, R0,
+the times, the seed and the output file; --fast picks the smaller grids.
+Each report's grid sizes and pass gates are otherwise fixed.
 """
 
 from __future__ import annotations
@@ -29,53 +29,6 @@ def _parse_times(text: str) -> tuple:
     return vals
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError("cannot parse boolean %r" % text)
-
-
-_FILE_KEYS = {
-    "d": ("d", int),
-    "kappa": ("kappa", float),
-    "r0": ("r0", float),
-    "t": ("t_values", _parse_times),
-    "tol": ("tol", float),
-    "grid": ("grid", int),
-    "out": ("out", str),
-    "fast": ("fast", _parse_bool),
-    "seed": ("seed", int),
-}
-
-
-def read_config_file(path: str) -> dict:
-    out = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError("cannot read config file: %s" % exc) from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _FILE_KEYS:
-            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-        field_name, conv = _FILE_KEYS[key]
-        try:
-            out[field_name] = conv(value.strip())
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from None
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hlab",
@@ -87,10 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R0", type=float, default=None, dest="r0", metavar="X")
     p.add_argument("--t", type=str, default=None, metavar="a,b,c",
                    help="comma separated list of times")
-    p.add_argument("--tol", type=float, default=None, metavar="X")
-    p.add_argument("--grid", type=int, default=None, metavar="N")
     p.add_argument("--out", type=str, default=None, metavar="FILE")
-    p.add_argument("--config", type=str, default=None, metavar="FILE")
     p.add_argument("--fast", action="store_true", default=None)
     p.add_argument("--seed", type=int, default=None, metavar="N")
     return p
@@ -98,16 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv) -> ExperimentConfig:
     args = _build_parser().parse_args(argv)
-    settings = {}
-    if args.config:
-        settings.update(read_config_file(args.config))
-    cli_values = {
+    values = {
         "d": args.d, "kappa": args.kappa, "r0": args.r0,
         "t_values": _parse_times(args.t) if args.t is not None else None,
-        "tol": args.tol, "grid": args.grid, "out": args.out,
-        "fast": args.fast, "seed": args.seed,
+        "out": args.out, "fast": args.fast, "seed": args.seed,
     }
-    settings.update({k: v for k, v in cli_values.items() if v is not None})
+    settings = {k: v for k, v in values.items() if v is not None}
     return ExperimentConfig(experiment=args.experiment, **settings)
 
 

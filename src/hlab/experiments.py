@@ -40,8 +40,6 @@ class ExperimentConfig:
     kappa: float = 1.0
     r0: float = 1.0
     t_values: tuple = ()
-    tol: float | None = None
-    grid: int | None = None
     out: str | None = None
     fast: bool = False
     seed: int = 20260816
@@ -64,10 +62,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     "kappa = %g too large: the dispersion constant needs "
                     "kappa^2 < 4 d = %d" % (self.kappa, 4 * self.d))
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.grid is not None and self.grid < 3:
-            raise ConfigError("grid must be at least 3")
+        t = self.t_values
+        if (self.experiment in ("dispersion", "strichartz-window") and t
+                and (len(t) < 3 or any(b <= a for a, b in zip(t, t[1:])))):
+            # a slope fitted to one or two points always passes, and the
+            # window integrals turn negative over descending times
+            raise ConfigError(
+                "%s needs at least 3 strictly ascending times, got %s"
+                % (self.experiment, ",".join("%g" % v for v in t)))
 
     def times(self, default: tuple) -> tuple:
         return tuple(self.t_values) if self.t_values else default
@@ -153,10 +155,8 @@ def _bump_norms(u0, n_rho=257, n_s=513):
 
 def run_heat_equiv(cfg: ExperimentConfig) -> ExperimentReport:
     """Series form of the heat kernel against the integral form on a grid."""
-    tol = cfg.tol if cfg.tol is not None else 1e-7
-    n = cfg.grid if cfg.grid is not None else 5
-    if cfg.fast:
-        n = max(3, n // 2 + 1)
+    tol = 1e-7
+    n = 3 if cfg.fast else 5
     t_list = cfg.times((0.5, 1.0, 2.0))
     if cfg.fast:
         t_list = t_list[:2]
@@ -189,7 +189,7 @@ def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
     from .special import (hermite_fn_scaled, hermite_table, mehler_closed,
                           mehler_heat_closed)
 
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = 1e-8
     rng = np.random.default_rng(cfg.seed)
     n_cases = 10 if cfg.fast else 20
     rows = []
@@ -231,7 +231,7 @@ def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
 def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     """Two routes to u(t) plus the complex-time limit of the kernel."""
     d = cfg.d
-    tol = cfg.tol if cfg.tol is not None else 1e-2
+    tol = 1e-2
     t = cfg.times((2.5,))[0]
     t_min = dispersive_onset_time(cfg.kappa, cfg.r0, d)
     if t <= t_min:
@@ -240,10 +240,8 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     u0 = bump_profile(cfg.r0)
 
-    n_conv = cfg.grid if cfg.grid is not None else 48
-    ell_max, n_lam = 64, 32501
-    if cfg.fast:
-        n_conv, ell_max = n_conv // 2, 48
+    n_conv, ell_max = (24, 48) if cfg.fast else (48, 64)
+    n_lam = 32501
 
     gauge = cfg.kappa * math.sqrt(t)
     cand = []
@@ -314,6 +312,12 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # dispersion
 
+def _ball_grid(fast: bool) -> tuple:
+    """(n_h, n_v, n_conv): ball nodes per horizontal and vertical axis,
+    and source nodes per axis of the convolution grid."""
+    return (7, 9, 17) if fast else (9, 13, 33)
+
+
 def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv, kernel_tol=1e-8):
     """Sup, L2 and L4 of the evolved solution over the gauge ball."""
     points, w = _ball_eval_points(u0.d, kappa * math.sqrt(t), n_h, n_v)
@@ -336,11 +340,9 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
     d = cfg.d
     kappa = cfg.kappa
     t_list = cfg.times((4.0, 8.0, 16.0, 32.0))
-    n_h = cfg.grid if cfg.grid is not None else 9
-    n_v, n_conv = n_h + 4, 33
+    n_h, n_v, n_conv = _ball_grid(cfg.fast)
     if cfg.fast:
         t_list = t_list[:3]
-        n_h, n_v, n_conv = 7, 9, 17
 
     u0 = bump_profile(cfg.r0)
     m_kappa = dispersion_constant(kappa, d)
@@ -407,10 +409,7 @@ def run_strichartz(cfg: ExperimentConfig) -> ExperimentReport:
     t_onset = dispersive_onset_time(kappa, cfg.r0, d)
     n_t = 4 if cfg.fast else 6
     t_list = cfg.times(tuple(2.0 * t_onset * 2.0 ** j for j in range(n_t)))
-    n_h = cfg.grid if cfg.grid is not None else 9
-    n_v, n_conv = n_h + 4, 33
-    if cfg.fast:
-        n_h, n_v, n_conv = 7, 9, 17
+    n_h, n_v, n_conv = _ball_grid(cfg.fast)
 
     u0 = bump_profile(cfg.r0)
     sups, l4s = [], []
@@ -476,7 +475,7 @@ def _window_ratio(t, y) -> float:
 def run_concentrate(cfg: ExperimentConfig) -> ExperimentReport:
     """Concentration equalities, transport identity, hyperplane decay."""
     d = cfg.d
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = 1e-8
     t = cfg.times((1.7,))[0]
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -407,25 +407,17 @@ def dispersion_constant(kappa: float, d: int = 1, tol: float = 1e-10,
             % kappa)
     k2 = 0.5 * kappa * kappa
 
-    def log_ratio(tau):
-        # log(2 tau / sinh 2 tau), safe at large tau where the plain ratio
-        # underflows while exp(k2 tau) overflows; the combined exponent is
-        # bounded whenever rate > 0.
-        x = 2.0 * np.abs(np.asarray(tau, dtype=float))
-        small = x < 1e-8
-        xs = np.where(small, 1.0, x)
-        out = np.log(xs) - xs - np.log1p(-np.exp(-2.0 * xs)) + math.log(2.0)
-        return np.where(small, -x * x / 6.0, out)
-
+    # in logs: at large tau the plain ratio underflows while exp(k2 tau)
+    # overflows; the combined exponent is bounded whenever rate > 0
     if signed:
         def f(tau):
             a = np.abs(np.asarray(tau, dtype=float))
-            lr = d * log_ratio(a)
+            lr = sinh_ratio_log(a, d)
             return 0.5 * (np.exp(lr + k2 * a) + np.exp(lr - k2 * a))
     else:
         def f(tau):
             a = np.abs(np.asarray(tau, dtype=float))
-            return np.exp(d * log_ratio(a) + k2 * a)
+            return np.exp(sinh_ratio_log(a, d) + k2 * a)
 
     # Near the endpoint the integral grows like 1/rate; an absolute tol
     # there would sit below the composite-rule round-off floor, so read

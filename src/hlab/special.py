@@ -263,12 +263,3 @@ def sinh_ratio_log(tau, d: float):
                    - np.log1p(-np.exp(-4.0 * ab)))
     out *= float(d)
     return float(out[0]) if scalar else out
-
-
-def sinh_ratio_pow(tau, d: float):
-    """(2 tau / sinh(2 tau))^d, continued by 1 at tau = 0.
-
-    Underflows cleanly to 0.0 for large |tau| instead of overflowing.
-    """
-    res = np.exp(sinh_ratio_log(tau, d))
-    return res

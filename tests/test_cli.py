@@ -1,4 +1,4 @@
-"""Command line harness: parsing, precedence, exit codes, streams."""
+"""Command line harness: parsing, exit codes, streams."""
 
 import shutil
 import subprocess
@@ -7,9 +7,9 @@ import sysconfig
 
 import pytest
 
-from hlab.cli import (_parse_bool, _parse_times, build_config, main,
-                      read_config_file)
-from hlab.experiments import ConfigError
+from hlab import experiments
+from hlab.cli import _parse_times, build_config, main
+from hlab.experiments import ConfigError, ExperimentReport
 
 
 def test_parse_times():
@@ -26,47 +26,6 @@ def test_parse_times():
         _parse_times("0")
 
 
-def test_parse_bool():
-    for text in ("1", "true", "YES", " on "):
-        assert _parse_bool(text) is True
-    for text in ("0", "false", "No", "off"):
-        assert _parse_bool(text) is False
-    with pytest.raises(ConfigError, match="cannot parse boolean"):
-        _parse_bool("maybe")
-
-
-def test_read_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# full comment line\n"
-        "\n"
-        "fast = true\n"
-        "T = 0.5,1.5\n"
-        "tol=1e-9   # trailing comment\n"
-        "SEED = 7\n"
-        "r0 = 2.0\n")
-    assert read_config_file(str(path)) == {
-        "fast": True, "t_values": (0.5, 1.5), "tol": 1e-9, "seed": 7,
-        "r0": 2.0}
-
-
-def test_read_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read config file"):
-        read_config_file(str(tmp_path / "missing.cfg"))
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
-    with pytest.raises(ConfigError, match="expected key=value"):
-        read_config_file(str(bad))
-    for text in ("speed = 9\n", "ell = 3\n"):
-        bad.write_text(text)
-        with pytest.raises(ConfigError, match="unknown key"):
-            read_config_file(str(bad))
-    bad.write_text("d = 1\nd = x\n")
-    # conversion errors carry the file position
-    with pytest.raises(ConfigError, match=r"bad\.cfg:2:"):
-        read_config_file(str(bad))
-
-
 def test_build_config_flags():
     cfg = build_config(["mkappa", "--R0", "2.5", "--t", "0.5,2"])
     assert cfg.experiment == "mkappa"
@@ -74,16 +33,6 @@ def test_build_config_flags():
     assert cfg.t_values == (0.5, 2.0)
     assert cfg.fast is False
     assert cfg.seed == 20260816
-
-
-def test_build_config_precedence(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("kappa = 0.5\nfast = true\nseed = 3\n")
-    cfg = build_config(["mkappa", "--config", str(path), "--kappa", "0.9"])
-    assert cfg.kappa == 0.9
-    assert cfg.fast is True
-    assert cfg.seed == 3
-    assert cfg.d == 1
 
 
 def test_main_pass(capsys):
@@ -104,26 +53,44 @@ def test_main_out_file(tmp_path, capsys):
     assert target.read_text().startswith("# schema=1\n")
 
 
-def test_main_failing_rows_exit_one(capsys):
-    # an unreachable tolerance must surface as exit code 1, with the
-    # table still written so the failing rows can be inspected
-    code = main(["concentrate", "--fast", "--tol", "1e-30"])
+def test_main_failing_rows_exit_one(monkeypatch, capsys):
+    # a failing row must surface as exit code 1, with the table still
+    # written so the failing rows can be inspected
+    def failing(cfg):
+        return ExperimentReport("mkappa", ["check", "pass"],
+                                [("ok", True), ("bad", False)])
+    monkeypatch.setitem(experiments.CATALOG, "mkappa", failing)
+    code = main(["mkappa"])
     out, err = capsys.readouterr()
     assert code == 1
-    assert err == "concentrate: 22/40 rows pass -> FAIL\n"
-    assert out.count("\n") == 6 + 40
+    assert err == "mkappa: 1/2 rows pass -> FAIL\n"
+    assert out == ("# schema=1\n# experiment=mkappa\ncheck,pass\n"
+                   "ok,1\nbad,0\n")
+
+
+def test_removed_options_are_refused(capsys):
+    # grid sizes, pass gates and settings files are not configurable
+    for argv in (["mkappa", "--tol", "1e-9"], ["mkappa", "--grid", "9"],
+                 ["mkappa", "--config", "run.cfg"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_config_errors(capsys):
     cases = (
         (["nope"], "unknown experiment"),
-        (["mkappa", "--config", "/no/such/file.cfg"], "cannot read config"),
         (["mkappa", "--t", "1,zebra"], "cannot parse time list"),
         (["mkappa", "--d", "0"], "d must be a positive integer"),
         (["dispersion", "--kappa", "2.0"], "too large"),
         (["dispersion", "--d", "2", "--fast"], "only at d = 1"),
         (["strichartz-window", "--d", "2", "--fast"], "only at d = 1"),
         (["kernel-consistency", "--d", "2", "--fast"], "only at d = 1"),
+        (["dispersion", "--fast", "--t", "5"], "at least 3 strictly"),
+        (["strichartz-window", "--fast", "--t", "32,16,8,4"],
+         "at least 3 strictly"),
+        (["dispersion", "--t", "4,4,8"], "at least 3 strictly"),
     )
     for argv, needle in cases:
         code = main(argv)
@@ -132,6 +99,14 @@ def test_main_config_errors(capsys):
         assert out == ""
         assert err.startswith("hlab: ")
         assert needle in err
+
+
+def test_main_default_times_spelled_out(capsys):
+    # --fast dispersion runs at 4, 8, 16; naming them changes nothing
+    assert main(["dispersion", "--fast"]) == 0
+    default = capsys.readouterr().out
+    assert main(["dispersion", "--fast", "--t", "4,8,16"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_main_numerical_failure_exit_three(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hlab.experiments import (CATALOG, ConfigError, ExperimentConfig,
                               ExperimentReport, _trapezoid, _window_ratio,
                               admissible_q, run)
+from hlab.kernels import dispersive_onset_time
 
 CHEAP = ("heat-equiv", "mehler", "concentrate", "restricted-sweep", "mkappa")
 
@@ -40,10 +41,6 @@ def test_config_validation():
         ExperimentConfig(experiment="mkappa", d=0).validate()
     with pytest.raises(ConfigError, match="R0"):
         ExperimentConfig(experiment="mkappa", r0=0.0).validate()
-    with pytest.raises(ConfigError, match="tol must be positive"):
-        ExperimentConfig(experiment="mkappa", tol=-1e-9).validate()
-    with pytest.raises(ConfigError, match="at least 3"):
-        ExperimentConfig(experiment="mkappa", grid=2).validate()
 
 
 def test_kappa_cap_only_where_dispersion_enters():
@@ -56,6 +53,25 @@ def test_kappa_cap_only_where_dispersion_enters():
         ExperimentConfig(experiment="dispersion", kappa=-2.0).validate()
     # experiments that never form the constant ignore kappa entirely
     ExperimentConfig(experiment="mkappa", kappa=9.0).validate()
+
+
+def test_fitted_times_must_be_three_ascending():
+    for name in ("dispersion", "strichartz-window"):
+        for times in ((5.0,), (4.0, 8.0), (32.0, 16.0, 8.0, 4.0),
+                      (4.0, 4.0, 8.0)):
+            with pytest.raises(ConfigError, match="at least 3 strictly"):
+                ExperimentConfig(experiment=name, t_values=times).validate()
+        ExperimentConfig(experiment=name, t_values=(4.0, 8.0, 16.0)).validate()
+    # the default lists, spelled out, are accepted
+    ExperimentConfig(experiment="dispersion",
+                     t_values=(4.0, 8.0, 16.0, 32.0)).validate()
+    onset = dispersive_onset_time(1.0, 1.0)
+    ExperimentConfig(experiment="strichartz-window",
+                     t_values=tuple(2.0 * onset * 2.0 ** j
+                                    for j in range(6))).validate()
+    # one time is enough where nothing is fitted
+    for name in ("heat-equiv", "kernel-consistency", "concentrate"):
+        ExperimentConfig(experiment=name, t_values=(5.0,)).validate()
 
 
 def test_times_override():
@@ -150,14 +166,6 @@ def test_time_override_reaches_rows():
     assert rep.all_pass
 
 
-def test_grid_override_reaches_rows():
-    rep = run(ExperimentConfig(experiment="heat-equiv", grid=3,
-                               t_values=(1.0,)))
-    assert len(rep.rows) == 9
-    assert rep.params["grid"] == 3
-    assert rep.all_pass
-
-
 def test_concentrate_row_structure():
     rep = run(ExperimentConfig(experiment="concentrate", fast=True))
     eq = [r for r in rep.rows if r[0] == "equality"]
@@ -169,18 +177,6 @@ def test_concentrate_row_structure():
     assert set(decay) == {"decay-hat", "decay-bump"}
     assert 2.0 <= decay["decay-hat"][5] < 2.2
     assert decay["decay-bump"][5] > 4.0
-
-
-def test_tol_override_fails_honestly():
-    # machine-precision routes cannot meet an absurd tolerance; the rows
-    # must report that instead of clamping
-    rep = run(ExperimentConfig(experiment="concentrate", fast=True,
-                               tol=1e-30))
-    assert not rep.all_pass
-    assert rep.summary.endswith("-> FAIL")
-    bad = [r for r in rep.rows if not r[-1]]
-    assert len(bad) == 18
-    assert {r[0] for r in bad} == {"equality"}
 
 
 def test_mkappa_rows():
