@@ -6,8 +6,10 @@ ExperimentReport whose rows carry a 0/1 pass flag.  Reports are
 deterministic for a fixed configuration.
 
 Approximate runtimes at defaults, two cores: kernel-consistency takes
-about 8 s (the radial transform); every other experiment runs in
-seconds.  The fast flag shrinks every grid axis by about half.
+about 8 s (the radial transform), every other experiment a second or
+less.  The fast flag shrinks every grid axis by about half.  Ball norms,
+of the initial bump and of the evolved solution alike, are taken on the
+radial (rho, s) section of the gauge ball (quadrature.radial_ball_rule).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .kernels import (KernelQuery, TruncationBudget, dispersion_constant,
                       dispersive_onset_time, heat_kernel_gaveau,
                       heat_kernel_series, kernel_complex_time,
                       restricted_kernel, schrodinger_kernel)
-from .quadrature import GridSpec, _flatten_grid, lp_norm_on_ball_radial
+from .quadrature import lp_norm_on_ball_radial, radial_ball_rule
 from .solutions import (LineData, concentration_probe, convolution_grid,
                         evolve_by_convolution, hyperplane_decay_exponent)
 
@@ -63,13 +65,20 @@ class ExperimentConfig:
                     "kappa = %g too large: the dispersion constant needs "
                     "kappa^2 < 4 d = %d" % (self.kappa, 4 * self.d))
         t = self.t_values
-        if (self.experiment in ("dispersion", "strichartz-window") and t
-                and (len(t) < 3 or any(b <= a for a, b in zip(t, t[1:])))):
+        if self.experiment not in ("dispersion", "strichartz-window") or not t:
+            return
+        if len(t) < 3 or any(b <= a for a, b in zip(t, t[1:])):
             # a slope fitted to one or two points always passes, and the
             # window integrals turn negative over descending times
             raise ConfigError(
                 "%s needs at least 3 strictly ascending times, got %s"
                 % (self.experiment, ",".join("%g" % v for v in t)))
+        onset = dispersive_onset_time(self.kappa, self.r0, self.d)
+        if t[0] <= onset:
+            # before it the translated source grid leaves the kernel strip
+            raise ConfigError(
+                "%s needs times after the onset time %g for kappa=%g, R0=%g, "
+                "got %g" % (self.experiment, onset, self.kappa, self.r0, t[0]))
 
     def times(self, default: tuple) -> tuple:
         return tuple(self.t_values) if self.t_values else default
@@ -128,21 +137,6 @@ def admissible_q(p: float, d: int = 1) -> float:
 # ---------------------------------------------------------------------------
 # Shared sampling helpers
 
-def _ball_eval_points(d: int, gauge_radius: float, n_h: int, n_v: int):
-    """Simpson-weighted tensor nodes clipped to the open gauge ball.
-
-    Returns (list of GroupPoint, weights)."""
-    g = float(gauge_radius)
-    axes = [(-g, g, n_h)] * (2 * d) + [(-g * g, g * g, n_v)]
-    pts, w = _flatten_grid(GridSpec(tuple(axes)))
-    hsq = np.sum(pts[:, :2 * d] ** 2, axis=1)
-    mask = hsq ** 2 + pts[:, 2 * d] ** 2 < g ** 4
-    pts, w = pts[mask], w[mask]
-    points = [GroupPoint(y=p[:d].copy(), eta=p[d:2 * d].copy(),
-                         s=float(p[2 * d])) for p in pts]
-    return points, w
-
-
 def _bump_norms(u0, n_rho=257, n_s=513):
     radius = (u0.support_rho ** 2 + u0.support_s ** 2) ** 0.25 * 1.0001
     l1 = lp_norm_on_ball_radial(u0.profile, 1, radius, u0.d, n_rho, n_s)
@@ -186,8 +180,7 @@ def run_heat_equiv(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
     """Hermite generating identities against their closed forms."""
-    from .special import (hermite_fn_scaled, hermite_table, mehler_closed,
-                          mehler_heat_closed)
+    from .special import hermite_table, mehler_closed, mehler_heat_closed
 
     tol = 1e-8
     rng = np.random.default_rng(cfg.seed)
@@ -210,11 +203,11 @@ def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
         y = rng.uniform(-1.5, 1.5)
         z = rng.uniform(-1.5, 1.5)
         m_top = 160
-        hm = np.array([hermite_fn_scaled(m, lam, z - y)
-                       * hermite_fn_scaled(m, lam, z + y)
-                       * math.exp(-2.0 * m * t * lam)
-                       for m in range(m_top + 1)])
-        total = float(np.sum(hm))
+        h = lam ** 0.25 * hermite_table(
+            m_top, math.sqrt(lam) * np.array([z - y, z + y]))
+        decay = np.array([math.exp(-2.0 * m * t * lam)
+                          for m in range(m_top + 1)])
+        total = float(np.sum(h[:, 0] * h[:, 1] * decay))
         closed = mehler_heat_closed(lam, t, y, z)
         err = abs(total - closed)
         rows.append(("heat-line", lam, t, y, total, closed, err, tol,
@@ -313,21 +306,29 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
 # dispersion
 
 def _ball_grid(fast: bool) -> tuple:
-    """(n_h, n_v, n_conv): ball nodes per horizontal and vertical axis,
+    """(n_h, n_v, n_conv): nodes in rho and in s of the radial ball rule,
     and source nodes per axis of the convolution grid."""
     return (7, 9, 17) if fast else (9, 13, 33)
 
 
-def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv, kernel_tol=1e-8):
-    """Sup, L2 and L4 of the evolved solution over the gauge ball."""
-    points, w = _ball_eval_points(u0.d, kappa * math.sqrt(t), n_h, n_v)
+def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv):
+    """Sup, L2 and L4 of the evolved solution over the gauge ball.
+
+    u(t) = u0 * S_t is radial as u0 and S_t are, so it is evaluated only
+    at the points (sqrt(rho) e_1, 0, s) of radial_ball_rule(n_h, n_v)."""
+    d = u0.d
+    rho, s, w = radial_ball_rule(kappa * math.sqrt(t), d, n_h, n_v)
+    e1 = np.eye(d)[0]
+    points = [GroupPoint(y=math.sqrt(r) * e1, eta=np.zeros(d), s=float(si))
+              for r, si in zip(rho, s)]
     vals, err = evolve_by_convolution(u0, t, points,
                                       spec=convolution_grid(u0, n_conv),
-                                      tol=kernel_tol)
+                                      tol=1e-8)
     a = np.abs(vals)
+    const = math.pi ** d / math.factorial(d - 1)
     sup = float(np.max(a))
-    l2 = float(np.sum(w * a ** 2) ** 0.5)
-    l4 = float(np.sum(w * a ** 4) ** 0.25)
+    l2 = float((const * np.sum(w * a ** 2)) ** 0.5)
+    l4 = float((const * np.sum(w * a ** 4)) ** 0.25)
     return sup, l2, l4, err
 
 
@@ -336,10 +337,15 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
 
     The p=2 rows check mass: on coefficients the flow is exactly unitary,
     and the measured ball mass stays below the initial total mass.  The
-    p=4 rows check the interpolated bound with exponent 1 - 2/p."""
+    p=4 rows check the interpolated bound with exponent 1 - 2/p.  The
+    default times 4, 8, 16, 32 are doubled until the first one exceeds
+    the onset time (see validate)."""
     d = cfg.d
     kappa = cfg.kappa
-    t_list = cfg.times((4.0, 8.0, 16.0, 32.0))
+    t_default = (4.0, 8.0, 16.0, 32.0)
+    while t_default[0] <= dispersive_onset_time(kappa, cfg.r0, d):
+        t_default = tuple(2.0 * t for t in t_default)
+    t_list = cfg.times(t_default)
     n_h, n_v, n_conv = _ball_grid(cfg.fast)
     if cfg.fast:
         t_list = t_list[:3]

@@ -26,7 +26,7 @@ from .special import hermite_table, laguerre_sweep, laguerre_table
 class RadialFunction:
     """Radial (polyradial) function on H^d: depends on rho = |Y|^2 and s.
 
-    profile     : (rho, s) -> values, numpy-broadcasting preferred
+    profile     : (rho, s) -> values; must broadcast over numpy arrays
     support_rho : |profile| < 1e-12 whenever rho > support_rho
     support_s   : |profile| < 1e-12 whenever |s| > support_s
     """
@@ -47,13 +47,7 @@ class RadialFunction:
     def table(self, rho: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Values on a meshgrid of rho (axis 0) and s (axis 1)."""
         R, S = np.meshgrid(rho, s, indexing="ij")
-        try:
-            vals = np.asarray(self.profile(R, S))
-            if vals.shape != R.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            vals = np.vectorize(self.profile)(R, S)
-        return vals
+        return np.asarray(self.profile(R, S))
 
     def at_point(self, w: GroupPoint):
         return self.profile(w.horizontal_sq(), w.s)

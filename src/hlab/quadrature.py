@@ -6,6 +6,8 @@ exponential envelope are truncated symmetrically at a point T chosen from
 the envelope, never through variable transforms.  The fixed rules are
 composite Gauss-Legendre panels (gauss_panels) and Simpson on a uniform
 axis (simpson_rule); box integrals use tensor products of the latter.
+Gauge-ball norms of functions of (|Y|^2, s) use the Simpson rule of the
+ball's radial section (radial_ball_rule), of others the clipped box.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class EnvelopeError(ValueError):
 class Integrand1D:
     """A scalar (possibly complex) integrand on R.
 
-    evaluate      : callable, scalar or numpy-vectorized
+    evaluate      : callable, numpy-vectorized
     envelope_rate : r > 0 such that |f(tau)| <~ C exp(-r |tau|) at infinity
     """
 
@@ -96,22 +98,9 @@ for _i in range(1, 4):
 _EPS = np.finfo(float).eps
 
 
-def _wrap_vectorized(f: Callable) -> Callable:
-    """Accept either scalar or vectorized callables; always return arrays."""
-    state = {"vec": True}
-
-    def fv(x: np.ndarray) -> np.ndarray:
-        if state["vec"]:
-            try:
-                r = np.asarray(f(x), dtype=complex)
-                if r.shape == x.shape:
-                    return r
-            except (TypeError, ValueError):
-                pass
-            state["vec"] = False
-        return np.array([complex(f(float(xi))) for xi in x])
-
-    return fv
+def _complex_valued(f: Callable) -> Callable:
+    """The numpy-vectorized f, returning complex arrays."""
+    return lambda x: np.asarray(f(x), dtype=complex)
 
 
 def _gk_panel(fv: Callable, a: float, b: float):
@@ -147,7 +136,7 @@ def integrate_adaptive(f: Callable, a: float, b: float, tol: float,
         raise ValueError("tol must be positive")
     if not b > a:
         raise ValueError("need b > a")
-    fv = _wrap_vectorized(f)
+    fv = _complex_valued(f)
 
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
     if max_panel_width is not None and max_panel_width > 0.0:
@@ -207,7 +196,7 @@ def integrate_exponential_tail(integrand: Integrand1D, tol: float,
         raise EnvelopeError("integrand has no positive envelope rate")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fv = _wrap_vectorized(integrand.evaluate)
+    fv = _complex_valued(integrand.evaluate)
 
     def amplitude(points: np.ndarray) -> float:
         mags = np.abs(fv(points)) * np.exp(rate * np.abs(points))
@@ -315,10 +304,6 @@ def _flatten_grid(spec: GridSpec):
     return pts, w
 
 
-def _group_coords(pts: np.ndarray, d: int):
-    return pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
-
-
 # ---------------------------------------------------------------------------
 # Gauge-ball norms
 
@@ -347,7 +332,7 @@ def lp_norm_on_ball(f: Callable, p: float, center: GroupPoint, radius: float,
     if d != center.d:
         raise ValueError("grid dimension does not match the center point")
     pts, w = _flatten_grid(spec)
-    vy, veta, vs = _group_coords(pts, d)
+    vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
     gauge = koranyi_norm_arrays(vy, veta, vs)
     mask = gauge < float(radius)
     if not np.any(mask):
@@ -366,28 +351,36 @@ def lp_norm_on_ball(f: Callable, p: float, center: GroupPoint, radius: float,
     return float((np.sum(w[mask] * mags[mask] ** p)) ** (1.0 / p))
 
 
-def lp_norm_on_ball_radial(profile: Callable, p: float, radius: float,
-                           d: int = 1, n_rho: int = 129,
-                           n_s: int = 257) -> float:
-    """L^p norm over the origin-centered gauge ball of a radial function.
-
-    profile(rho, s) takes |Y|^2 and s (numpy arrays) and the horizontal
-    integral reduces to the measure (pi^d / (d-1)!) rho^(d-1) drho ds on
-    the quarter-plane slice rho >= 0, rho^2 + s^2 < radius^4.
-    """
+def radial_ball_rule(radius: float, d: int = 1, n_rho: int = 129,
+                     n_s: int = 257):
+    """Simpson nodes (rho, s) = (|Y|^2, s) of the half-disk rho >= 0,
+    rho^2 + s^2 < radius^4 (strict), and weights w = Simpson * rho^(d-1):
+    a radial f integrates over the origin-centered gauge ball to
+    (pi^d / (d-1)!) sum w f(rho, s), the constant left to the caller."""
     r2 = float(radius) ** 2
     rho, wr = simpson_rule(0.0, r2, n_rho)
     s, ws = simpson_rule(-r2, r2, n_s)
     R, S = np.meshgrid(rho, s, indexing="ij")
     mask = R * R + S * S < r2 * r2
-    vals = np.abs(np.asarray(profile(R, S)))
+    if not np.any(mask):
+        raise QuadratureError("no grid nodes fall inside the ball")
+    wgt = np.outer(wr, ws) * (R ** (d - 1) if d > 1 else 1.0)
+    return R[mask], S[mask], wgt[mask]
+
+
+def lp_norm_on_ball_radial(profile: Callable, p: float, radius: float,
+                           d: int = 1, n_rho: int = 129,
+                           n_s: int = 257) -> float:
+    """L^p norm over the origin-centered gauge ball of a radial function.
+
+    profile(rho, s) takes |Y|^2 and s (numpy arrays); the nodes and
+    weights are those of radial_ball_rule.
+    """
+    rho, s, w = radial_ball_rule(radius, d, n_rho, n_s)
+    vals = np.abs(np.asarray(profile(rho, s)))
     if np.isinf(p):
-        if not np.any(mask):
-            raise QuadratureError("no grid nodes fall inside the ball")
-        return float(np.max(vals[mask]))
+        return float(np.max(vals))
     if p < 1.0:
         raise ValueError("p must be >= 1 or inf")
     const = math.pi ** d / math.factorial(d - 1)
-    wgt = np.outer(wr, ws) * (R ** (d - 1) if d > 1 else 1.0)
-    total = np.sum(wgt[mask] * vals[mask] ** p)
-    return float((const * total) ** (1.0 / p))
+    return float((const * np.sum(w * vals ** p)) ** (1.0 / p))

@@ -454,12 +454,7 @@ def evolve_by_convolution(u0: RadialFunction, t: float, points,
     pts, w = _flatten_grid(spec)
     vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
     rho_v = np.sum(vy * vy, axis=1) + np.sum(veta * veta, axis=1)
-    try:
-        u0v = np.asarray(u0.profile(rho_v, vs))
-        if u0v.shape != rho_v.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        u0v = np.vectorize(u0.profile)(rho_v, vs)
+    u0v = np.asarray(u0.profile(rho_v, vs))
     amp = w * u0v
     keep = np.abs(u0v) > 1e-16 * float(np.max(np.abs(u0v)))
 

@@ -109,6 +109,24 @@ def test_main_default_times_spelled_out(capsys):
     assert capsys.readouterr().out == default
 
 
+def test_dispersion_times_follow_the_onset_time(capsys):
+    # at kappa = 1.9 the onset time is (1 / (2 - 1.9))^2 = 100: the default
+    # times double past it, to 128, 256, 512 under --fast, and a list that
+    # starts at or below it is refused
+    assert main(["dispersion", "--fast", "--kappa", "1.9"]) == 0
+    default = capsys.readouterr().out
+    assert [row.split(",")[1] for row in default.splitlines()
+            if row.startswith("sup,")] == ["128", "256", "512"]
+    assert main(["dispersion", "--fast", "--kappa", "1.9",
+                 "--t", "128,256,512"]) == 0
+    assert capsys.readouterr().out == default
+    code = main(["dispersion", "--fast", "--kappa", "1.9", "--t", "4,8,16"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "after the onset time 100" in err
+
+
 def test_main_numerical_failure_exit_three(capsys):
     # at d = 2 the dispersion constant's quadrature runs out of panels
     # near the endpoint kappa^2 = 4d

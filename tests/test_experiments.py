@@ -74,6 +74,20 @@ def test_fitted_times_must_be_three_ascending():
         ExperimentConfig(experiment=name, t_values=(5.0,)).validate()
 
 
+def test_fitted_times_must_follow_the_onset_time():
+    # onset time (1 / (2 - 1.5))^2 = 4 at kappa = 1.5, R0 = 1
+    for name in ("dispersion", "strichartz-window"):
+        with pytest.raises(ConfigError, match="after the onset time 4 "):
+            ExperimentConfig(experiment=name, kappa=1.5,
+                             t_values=(4.0, 8.0, 16.0)).validate()
+        ExperimentConfig(experiment=name, kappa=1.5,
+                         t_values=(4.5, 8.0, 16.0)).validate()
+        # the shape of the list is checked first
+        with pytest.raises(ConfigError, match="at least 3 strictly"):
+            ExperimentConfig(experiment=name, kappa=1.5,
+                             t_values=(1.0, 2.0)).validate()
+
+
 def test_times_override():
     cfg = ExperimentConfig(experiment="mkappa")
     assert cfg.times((1.0, 2.0)) == (1.0, 2.0)

@@ -274,11 +274,6 @@ def test_radial_function_table_and_point_eval():
     assert tab.max() == pytest.approx(2.0, rel=1e-12)
     w = GroupPoint(np.array([0.2]), np.array([0.1]), -0.3)
     assert f.at_point(w) == pytest.approx(f.profile(w.horizontal_sq(), w.s))
-    # scalar-only profiles are vectorized by the table path
-    g = RadialFunction(profile=lambda r, t: math.exp(-r - t * t),
-                       support_rho=30.0, support_s=6.0)
-    tab2 = g.table(rho, s)
-    assert tab2[3, 4] == pytest.approx(math.exp(-rho[3] - s[4] ** 2))
     with pytest.raises(ValueError):
         RadialFunction(profile=lambda r, t: r, support_rho=0.0, support_s=1.0)
     with pytest.raises(ValueError):

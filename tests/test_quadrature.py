@@ -47,16 +47,6 @@ def test_complex_integrand_supported():
     assert val == pytest.approx(2j, abs=1e-12)
 
 
-def test_scalar_only_callable_is_wrapped():
-    def f(x):
-        # rejects arrays so the wrapper must fall back to a scalar loop
-        if not isinstance(x, float):
-            raise TypeError("scalar only")
-        return x
-    val, _ = integrate_adaptive(f, 0.0, 2.0, 1e-12)
-    assert val == pytest.approx(2.0, rel=1e-13)
-
-
 def test_breakpoints_put_panel_edges_on_kinks():
     val, err = integrate_adaptive(lambda x: np.abs(x), -1.0, 2.0, 1e-13,
                                   breakpoints=(0.0,))
