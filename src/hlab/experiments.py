@@ -60,6 +60,9 @@ class ExperimentConfig:
             if self.d != 1:
                 raise ConfigError("%s is computed only at d = 1, not d = %d"
                                   % (self.experiment, self.d))
+            if self.kappa <= 0:
+                # the gauge balls of radius kappa sqrt(t) would be empty
+                raise ConfigError("kappa = %g must be positive" % self.kappa)
             if self.kappa ** 2 >= 4 * self.d:
                 raise ConfigError(
                     "kappa = %g too large: the dispersion constant needs "

@@ -204,6 +204,11 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     c(ell, lam) = C(ell + d - 1, ell)^(-1) (pi^d / (d-1)!)
                   integral of exp(-i s lam) wigner_radial * f
                   against rho^(d-1) drho ds over the declared support.
+
+    When f.table is real, c(ell, -lam) = conj c(ell, lam): the transform is
+    computed only at the distinct |lam| of the grid and the lam < 0 columns
+    are their conjugates, the same bits a pass over every lam gives.  A
+    complex table is transformed at every lam of the grid.
     """
     d = f.d
     if lambda_grid is None:
@@ -216,6 +221,13 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
     s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
+    values = np.empty((ell_max + 1, lam.size), dtype=complex)
+    folded = np.isrealobj(table)
+    if folded:
+        nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+        out = np.empty((ell_max + 1, nodes.size), dtype=complex)
+    else:
+        nodes, out = lam, values
 
     # Streamed over lam blocks and the Laguerre sweep: the full
     # (ell, rho, lam) table would not fit once ell_max or the grid grows.
@@ -230,11 +242,10 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     base = math.pi ** d / math.factorial(d - 1)
     consts = np.array([base / multiplicity(ell, d)
                        for ell in range(ell_max + 1)])
-    values = np.empty((ell_max + 1, lam.size), dtype=complex)
     chunk = max(1, _FWD_CHUNK // max(1, n_rho))
-    for lo in range(0, lam.size, chunk):
-        hi = min(lo + chunk, lam.size)
-        lc = lam[lo:hi]
+    for lo in range(0, nodes.size, chunk):
+        hi = min(lo + chunk, nodes.size)
+        lc = nodes[lo:hi]
         phases = np.exp(-1j * np.outer(s, lc))          # (n_s, Jc)
         a = table @ (ws[:, None] * phases)              # (n_rho, Jc)
         x = 2.0 * np.outer(rho, np.abs(lc))
@@ -243,8 +254,15 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
         prod = np.empty_like(wa)
         for k, lk in enumerate(laguerre_sweep(ell_max, alpha, x)):
             term = np.multiply(wa, lk, out=prod) if k else wa   # L_0 = 1
-            values[k, lo:hi] = term.sum(axis=0)
-    values *= consts[:, None]
+            out[k, lo:hi] = term.sum(axis=0)
+    out *= consts[:, None]
+    if folded:
+        # filled in place rather than returned as out[:, inv], which is
+        # Fortran-ordered: the BLAS reduction in spectral_inner rounds
+        # differently with the memory order of the values
+        np.take(out, inv, axis=1, out=values)
+        neg = values[:, :int(np.searchsorted(lam, 0.0))]
+        np.conjugate(neg, out=neg)
     return SpectralCoefficients(d=d, lambda_grid=lam,
                                 weights=np.asarray(lambda_weights, float),
                                 values=values)
@@ -363,10 +381,12 @@ def evolve_schrodinger(c: SpectralCoefficients, t: float) -> SpectralCoefficient
     """Unitary flow: multiply block (ell, lam) by exp(4 i t |lam| (2 ell + d))."""
     t = float(t)
     ells = np.arange(c.ell_max + 1)[:, None]
-    phase = np.exp(4j * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d))
+    phase = 4j * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d)
+    np.exp(phase, out=phase)
+    # c.values first: complex multiplication does not commute bitwise
+    np.multiply(c.values, phase, out=phase)
     return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
-                                weights=c.weights.copy(),
-                                values=c.values * phase)
+                                weights=c.weights.copy(), values=phase)
 
 
 def evolve_heat(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
@@ -375,7 +395,8 @@ def evolve_heat(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
     if t < 0.0:
         raise ValueError("heat flow needs t >= 0")
     ells = np.arange(c.ell_max + 1)[:, None]
-    damp = np.exp(-4.0 * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d))
+    damp = -4.0 * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d)
+    np.exp(damp, out=damp)
     return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
                                 weights=c.weights.copy(),
                                 values=c.values * damp)

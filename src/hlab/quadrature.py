@@ -322,8 +322,8 @@ def lp_norm_on_ball(f: Callable, p: float, center: GroupPoint, radius: float,
     """L^p norm of f over the gauge ball around center.
 
     spec describes the box in ball-centered coordinates v; the actual
-    evaluation points are center . v.  Membership is strict.  p may be any
-    value >= 1 or inf (grid max of |f|).
+    evaluation points are center . v for the nodes v inside the ball only.
+    Membership is strict.  p may be any value >= 1 or inf (grid max of |f|).
     """
     k = len(spec.axes)
     if k % 2 != 1 or k < 3:
@@ -337,18 +337,19 @@ def lp_norm_on_ball(f: Callable, p: float, center: GroupPoint, radius: float,
     mask = gauge < float(radius)
     if not np.any(mask):
         raise QuadratureError("no grid nodes fall inside the ball")
-    ay, aeta, as_ = product_arrays(center.y, center.eta, center.s, vy, veta, vs)
+    ay, aeta, as_ = product_arrays(center.y, center.eta, center.s,
+                                   vy[mask], veta[mask], vs[mask])
     if vectorized:
         vals = np.asarray(f(ay, aeta, as_))
     else:
         vals = np.array([f(GroupPoint(ay[i], aeta[i], as_[i]))
-                         for i in range(pts.shape[0])])
+                         for i in range(as_.shape[0])])
     mags = np.abs(vals)
     if np.isinf(p):
-        return float(np.max(mags[mask]))
+        return float(np.max(mags))
     if p < 1.0:
         raise ValueError("p must be >= 1 or inf")
-    return float((np.sum(w[mask] * mags[mask] ** p)) ** (1.0 / p))
+    return float((np.sum(w[mask] * mags ** p)) ** (1.0 / p))
 
 
 def radial_ball_rule(radius: float, d: int = 1, n_rho: int = 129,

@@ -84,6 +84,11 @@ def test_main_config_errors(capsys):
         (["mkappa", "--t", "1,zebra"], "cannot parse time list"),
         (["mkappa", "--d", "0"], "d must be a positive integer"),
         (["dispersion", "--kappa", "2.0"], "too large"),
+        (["dispersion", "--fast", "--kappa", "-1"], "must be positive"),
+        (["dispersion", "--fast", "--kappa", "0"], "must be positive"),
+        (["strichartz-window", "--fast", "--kappa", "0"], "must be positive"),
+        (["kernel-consistency", "--fast", "--kappa", "0"],
+         "must be positive"),
         (["dispersion", "--d", "2", "--fast"], "only at d = 1"),
         (["strichartz-window", "--d", "2", "--fast"], "only at d = 1"),
         (["kernel-consistency", "--d", "2", "--fast"], "only at d = 1"),

@@ -48,9 +48,9 @@ def test_kappa_cap_only_where_dispersion_enters():
         with pytest.raises(ConfigError, match="too large"):
             ExperimentConfig(experiment=name, kappa=2.0).validate()
         ExperimentConfig(experiment=name, kappa=1.9).validate()
-    # the sign does not matter, only kappa^2
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="dispersion", kappa=-2.0).validate()
+    # kappa <= 0 is refused whatever its square
+    with pytest.raises(ConfigError, match="must be positive"):
+        ExperimentConfig(experiment="dispersion", kappa=-1.0).validate()
     # experiments that never form the constant ignore kappa entirely
     ExperimentConfig(experiment="mkappa", kappa=9.0).validate()
 

@@ -133,16 +133,28 @@ def _analyze_reference(f, ell_max, grid, n_rho, n_s):
 
 
 @pytest.mark.parametrize("one_column", [False, True])
-@pytest.mark.parametrize("d", [1, 2])
-def test_analyze_matches_plain_loop(d, one_column, monkeypatch):
+@pytest.mark.parametrize("case", [1, 2, "shifted", "complex"])
+def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
+    # 1 and 2: the bump at that d.  "shifted": real but not even in s, so
+    # the folded lam < 0 columns are conjugates that differ from the lam > 0
+    # ones.  "complex": (1 + i/2) times the bump, transformed at every lam;
+    # its c(ell, -lam) is not conj c(ell, lam).
     bump = bump_profile(1.1)
-    if d == 1:
+    grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=7)
+    if case == 1:
         f = bump
-        grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=7)
-    else:
+    elif case == 2:
         f = RadialFunction(profile=bump.profile, support_rho=bump.support_rho,
                            support_s=bump.support_s, d=2)
         grid, w = single_sign_lambda_grid(0.2, 6.0, 13)
+    elif case == "shifted":
+        f = RadialFunction(profile=lambda rho, s: bump.profile(rho, s - 0.4),
+                           support_rho=bump.support_rho,
+                           support_s=bump.support_s + 0.4)
+    else:
+        f = RadialFunction(
+            profile=lambda rho, s: (1.0 + 0.5j) * bump.profile(rho, s),
+            support_rho=bump.support_rho, support_s=bump.support_s)
     if one_column:
         monkeypatch.setattr(fourier, "_FWD_CHUNK", 1)
     c = analyze(f, ell_max=6, lambda_grid=grid, lambda_weights=w,
@@ -157,8 +169,7 @@ def test_real_data_has_hermitian_coefficients():
     grid = np.array([-1.7, -0.6, 0.6, 1.7])
     c = analyze(f, ell_max=2, lambda_grid=grid,
                 lambda_weights=np.ones(4), n_rho=96, n_s=96)
-    np.testing.assert_allclose(c.values[:, :2], np.conj(c.values[:, :0:-2]),
-                               rtol=0, atol=1e-12)
+    assert np.array_equal(c.values[:, :2], np.conj(c.values[:, :1:-1]))
 
 
 def _band_limited():
