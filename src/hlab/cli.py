@@ -6,7 +6,8 @@ line summary to stderr.  Exit codes: 0 all rows pass, 1 some row fails,
 converge, a kernel query outside its strip, an exhausted series budget),
 reported as one line on stderr.  The flags set the dimension, kappa, R0,
 the times, the seed and the output file; --fast picks the smaller grids.
-Each report's grid sizes and pass gates are otherwise fixed.
+Each report's grid sizes and pass gates are otherwise fixed, and a flag
+the report does not read (experiments.READS) is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import CATALOG, ConfigError, ExperimentConfig, run
+from .experiments import CATALOG, READS, ConfigError, ExperimentConfig, run
 from .kernels import BudgetExhausted, StripViolation
 from .quadrature import QuadratureError
 
@@ -27,6 +28,11 @@ def _parse_times(text: str) -> tuple:
     if not vals or any(v <= 0 for v in vals):
         raise ConfigError("time list must hold positive numbers")
     return vals
+
+
+# the flag of each ExperimentConfig setting
+_FLAGS = {"d": "--d", "kappa": "--kappa", "r0": "--R0", "t_values": "--t",
+          "fast": "--fast", "seed": "--seed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,6 +60,12 @@ def build_config(argv) -> ExperimentConfig:
         "out": args.out, "fast": args.fast, "seed": args.seed,
     }
     settings = {k: v for k, v in values.items() if v is not None}
+    reads = READS.get(args.experiment, _FLAGS)  # validate names the typo
+    unread = [flag for k, flag in _FLAGS.items()
+              if k in settings and k not in reads]
+    if unread:
+        raise ConfigError("%s does not read %s"
+                          % (args.experiment, ", ".join(unread)))
     return ExperimentConfig(experiment=args.experiment, **settings)
 
 

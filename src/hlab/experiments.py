@@ -6,10 +6,11 @@ ExperimentReport whose rows carry a 0/1 pass flag.  Reports are
 deterministic for a fixed configuration.
 
 Approximate runtimes at defaults, two cores: kernel-consistency takes
-about 8 s (the radial transform), every other experiment a second or
-less.  The fast flag shrinks every grid axis by about half.  Ball norms,
-of the initial bump and of the evolved solution alike, are taken on the
-radial (rho, s) section of the gauge ball (quadrature.radial_ball_rule).
+2 to 4 s (the radial transform), every other experiment a second or
+less.  The fast flag shrinks the ball and transform grids by about half,
+not the convolution's source rule.  Ball norms, of the initial bump and
+of the evolved solution alike, are taken on the radial (rho, s) section
+of the gauge ball (quadrature.radial_ball_rule).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .kernels import (KernelQuery, TruncationBudget, dispersion_constant,
                       heat_kernel_series, kernel_complex_time,
                       restricted_kernel, schrodinger_kernel)
 from .quadrature import lp_norm_on_ball_radial, radial_ball_rule
-from .solutions import (LineData, concentration_probe, convolution_grid,
-                        evolve_by_convolution, hyperplane_decay_exponent)
+from .solutions import (LineData, concentration_probe, evolve_by_convolution,
+                        hyperplane_decay_exponent)
 
 
 class ConfigError(ValueError):
@@ -56,7 +57,7 @@ class ExperimentConfig:
             raise ConfigError("R0 must be positive")
         if self.experiment in ("dispersion", "strichartz-window",
                                "kernel-consistency"):
-            # bump_profile and the convolution grid are built for d = 1
+            # bump_profile is built for d = 1 only
             if self.d != 1:
                 raise ConfigError("%s is computed only at d = 1, not d = %d"
                                   % (self.experiment, self.d))
@@ -175,7 +176,7 @@ def run_heat_equiv(cfg: ExperimentConfig) -> ExperimentReport:
     cols = ["d", "t", "rho", "s", "series_re", "series_im",
             "integral_re", "integral_im", "rel_err", "tol", "pass"]
     return ExperimentReport("heat-equiv", cols, rows,
-                            params={"d": cfg.d, "grid": n, "seed": cfg.seed})
+                            params={"d": cfg.d, "grid": n})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     u0 = bump_profile(cfg.r0)
 
-    n_conv, ell_max = (24, 48) if cfg.fast else (48, 64)
+    ell_max = 48 if cfg.fast else 64
     n_lam = 32501
 
     gauge = cfg.kappa * math.sqrt(t)
@@ -247,8 +248,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
         s = rng.uniform(-gauge * gauge, gauge * gauge)
         if (np.sum(y ** 2) + np.sum(eta ** 2)) ** 2 + s ** 2 < gauge ** 4:
             cand.append(GroupPoint(y=y, eta=eta, s=float(s)))
-    conv_vals, conv_err = evolve_by_convolution(
-        u0, t, cand, spec=convolution_grid(u0, n_conv), tol=1e-6)
+    conv_vals, conv_err = evolve_by_convolution(u0, t, cand, tol=1e-6)
 
     scale = float(np.max(np.abs(conv_vals)))
     order = np.argsort(-np.abs(conv_vals))
@@ -301,20 +301,19 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
             "conv_im", "rel_err", "tol", "pass"]
     return ExperimentReport(
         "kernel-consistency", cols, rows,
-        params={"d": d, "t": t, "kappa": cfg.kappa, "grid": n_conv,
-                "conv_err": conv_err, "seed": cfg.seed})
+        params={"d": d, "t": t, "kappa": cfg.kappa, "conv_err": conv_err,
+                "seed": cfg.seed})
 
 
 # ---------------------------------------------------------------------------
 # dispersion
 
 def _ball_grid(fast: bool) -> tuple:
-    """(n_h, n_v, n_conv): nodes in rho and in s of the radial ball rule,
-    and source nodes per axis of the convolution grid."""
-    return (7, 9, 17) if fast else (9, 13, 33)
+    """(n_h, n_v): nodes in rho and in s of the radial ball rule."""
+    return (7, 9) if fast else (9, 13)
 
 
-def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv):
+def _evolved_ball_norms(u0, t, kappa, n_h, n_v):
     """Sup, L2 and L4 of the evolved solution over the gauge ball.
 
     u(t) = u0 * S_t is radial as u0 and S_t are, so it is evaluated only
@@ -324,9 +323,7 @@ def _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv):
     e1 = np.eye(d)[0]
     points = [GroupPoint(y=math.sqrt(r) * e1, eta=np.zeros(d), s=float(si))
               for r, si in zip(rho, s)]
-    vals, err = evolve_by_convolution(u0, t, points,
-                                      spec=convolution_grid(u0, n_conv),
-                                      tol=1e-8)
+    vals, err = evolve_by_convolution(u0, t, points, tol=1e-8)
     a = np.abs(vals)
     const = math.pi ** d / math.factorial(d - 1)
     sup = float(np.max(a))
@@ -349,7 +346,7 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
     while t_default[0] <= dispersive_onset_time(kappa, cfg.r0, d):
         t_default = tuple(2.0 * t for t in t_default)
     t_list = cfg.times(t_default)
-    n_h, n_v, n_conv = _ball_grid(cfg.fast)
+    n_h, n_v = _ball_grid(cfg.fast)
     if cfg.fast:
         t_list = t_list[:3]
 
@@ -361,7 +358,7 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     sups = []
     for t in t_list:
-        sup, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv)
+        sup, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
         sups.append(sup)
         bound_inf = m_kappa * t ** (-half_q) * l1
         rows.append(("sup", t, sup, bound_inf, bound_inf / sup,
@@ -387,7 +384,7 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         "dispersion", cols, rows,
         params={"d": d, "kappa": kappa, "R0": cfg.r0, "M_kappa": m_kappa,
-                "u0_l1": l1, "grid": n_h, "seed": cfg.seed})
+                "u0_l1": l1, "grid": n_h})
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +415,12 @@ def run_strichartz(cfg: ExperimentConfig) -> ExperimentReport:
     t_onset = dispersive_onset_time(kappa, cfg.r0, d)
     n_t = 4 if cfg.fast else 6
     t_list = cfg.times(tuple(2.0 * t_onset * 2.0 ** j for j in range(n_t)))
-    n_h, n_v, n_conv = _ball_grid(cfg.fast)
+    n_h, n_v = _ball_grid(cfg.fast)
 
     u0 = bump_profile(cfg.r0)
     sups, l4s = [], []
     for t in t_list:
-        sup, _, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v, n_conv)
+        sup, _, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
         sups.append(sup)
         l4s.append(l4)
 
@@ -449,7 +446,7 @@ def run_strichartz(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         "strichartz-window", cols, rows,
         params={"d": d, "kappa": kappa, "R0": cfg.r0, "T_onset": t_onset,
-                "grid": n_h, "seed": cfg.seed})
+                "grid": n_h})
 
 
 def _trapezoid(t, y) -> float:
@@ -564,7 +561,7 @@ def run_restricted_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     cols = ["ell", "s_over_t", "t", "scaled_abs", "spread", "pass"]
     return ExperimentReport(
         "restricted-sweep", cols, rows,
-        params={"d": d, "rho": rho, "seed": cfg.seed})
+        params={"d": d, "rho": rho})
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +603,19 @@ CATALOG = {
     "concentrate": run_concentrate,
     "restricted-sweep": run_restricted_sweep,
     "mkappa": run_mkappa,
+}
+
+# The settings each report reads (ExperimentConfig fields); the command
+# line refuses a flag for any other, which the report would ignore.
+READS = {
+    "heat-equiv": ("d", "t_values", "fast"),
+    "mehler": ("fast", "seed"),
+    "kernel-consistency": ("d", "kappa", "r0", "t_values", "fast", "seed"),
+    "dispersion": ("d", "kappa", "r0", "t_values", "fast"),
+    "strichartz-window": ("d", "kappa", "r0", "t_values", "fast"),
+    "concentrate": ("d", "t_values", "fast", "seed"),
+    "restricted-sweep": ("d", "t_values", "fast"),
+    "mkappa": ("d", "r0"),
 }
 
 

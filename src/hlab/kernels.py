@@ -438,7 +438,7 @@ def dispersive_onset_time(kappa: float, r0: float, d: int = 1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation on a fixed tau grid (used by grid convolution)
+# Batched evaluation on a fixed tau grid (batch kernel, convolution)
 
 _TAU_PROBE = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 
@@ -453,8 +453,7 @@ def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
     tails of C exp(-rate |tau|) fall below tol / 2, and C is read again
     just inside that cut-off.  width caps the Gauss panels by the phase
     speed at the corner (rho_max, smax); where the phase is slow it is
-    t_cut, one panel per side, which the halved-width error probe splits
-    in two."""
+    min(t_cut, 16), the cap _osc_panel_width puts on fast phases too."""
     z = complex(0.0, -t)
     rate = 2.0 * d - smax / (2.0 * abs(t))
     if rate <= 0.0:
@@ -474,7 +473,7 @@ def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
     near = t_cut * np.array([0.55, 0.75, 0.95])
     c_amp = max(c_amp, amplitude(near))
     t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    width = _osc_panel_width(z, rho_max, smax) or t_cut
+    width = _osc_panel_width(z, rho_max, smax) or min(t_cut, 16.0)
     return z, t_cut, width
 
 

@@ -262,10 +262,6 @@ class GridSpec:
                 raise ValueError("each axis needs at least 2 points")
         self.axes = axes
 
-    @classmethod
-    def box(cls, bounds) -> "GridSpec":
-        return cls(tuple(bounds))
-
 
 def simpson_rule(lo: float, hi: float, n: int):
     """Nodes and weights on one axis: Simpson when n is odd, trapezoid else."""

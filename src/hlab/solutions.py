@@ -15,11 +15,9 @@ Each solution can be computed three ways: the exact integral (value), the
 grid transform route (spectral_coefficients + evolve + synthesize), and
 group convolution of the initial data against the flow kernel.
 
-The convolution is one quadrature sum over tau nodes, source grid nodes
-and query points.  The kernel's dependence on a (query, node) pair is
-bilinear in their coordinates, so for each tau node the source grid is
-summed axis by axis (the s axis, then each horizontal axis) and the sum
-over tau comes last; no kernel value at a single pair is formed.
+The convolution sums over tau nodes and a Simpson rule in (|Y_v|^2, s_v)
+of the source: at each tau node the kernel's average over a horizontal
+sphere is a short 0F1 series (see evolve_by_convolution).
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ import numpy as np
 
 from .fourier import (RadialFunction, SpectralCoefficients,
                       single_sign_lambda_grid)
-from .kernels import (StripViolation, _fixed_grid_sum, _fixed_tau_rule,
-                      _unitary_tau_rule)
-from .quadrature import (GridSpec, _flatten_grid, gauss_panels,
-                         grid_nodes_weights, integrate_adaptive)
+from .kernels import StripViolation, _fixed_tau_rule, _unitary_tau_rule
+from .quadrature import (GridSpec, gauss_panels, grid_nodes_weights,
+                         integrate_adaptive)
 from .special import laguerre_table, sinh_ratio_log, tau_over_tanh2
 
 
@@ -336,148 +333,129 @@ def hyperplane_decay_exponent(data: LineData, t: float, rho: float = 0.0,
 # ---------------------------------------------------------------------------
 # Convolution route
 
-def convolution_grid(u0: RadialFunction, n: int = 48) -> GridSpec:
-    """Default box covering the support of u0, n nodes per axis."""
-    rh = math.sqrt(u0.support_rho)
-    axes = [(-rh, rh, n)] * (2 * u0.d) + [(-u0.support_s, u0.support_s, n)]
-    return GridSpec(tuple(axes))
+# Simpson nodes on each axis of the (rho_v, s_v) source rule
+_N_SOURCE = 129
+
+# tau nodes per block of the radial sum; its arrays are (block, source
+# nodes per axis) and (block, queries), so the block size bounds memory
+_TAU_BLOCK = 128
 
 
-# tau nodes per block of the factorized sum; its axis factors are arrays
-# of (block, queries, nodes per axis), so the block size bounds peak memory.
-_TAU_BLOCK = 32
+def convolution_grid(u0: RadialFunction) -> GridSpec:
+    """The source rule of evolve_by_convolution: _N_SOURCE Simpson nodes
+    on rho_v = |Y_v|^2 in [0, support_rho] and on s_v in +-support_s."""
+    return GridSpec(((0.0, u0.support_rho, _N_SOURCE),
+                     (-u0.support_s, u0.support_s, _N_SOURCE)))
 
 
-def _pair_extent(points, vy, veta, vs, take):
-    """max |s| and max rho over all (query, node) pairs, a query at a
-    time, and the rho, s of the pairs at the query-major indices take."""
-    d = vy.shape[1]
-    n = vs.size
-    probe_q, probe_k = np.divmod(take, n)
-    rho_p = np.empty(take.size)
-    s_p = np.empty(take.size)
-    smax = rho_max = 0.0
-    for j, wp in enumerate(points):
-        if wp.d != d:
-            raise ValueError("query point dimension mismatch")
-        dy = wp.y[None, :] - vy
-        de = wp.eta[None, :] - veta
-        rho = np.sum(dy * dy, axis=1) + np.sum(de * de, axis=1)
-        s = (wp.s - vs - 2.0 * (veta @ wp.y) + 2.0 * (vy @ wp.eta))
-        smax = max(smax, float(np.max(np.abs(s))))
-        rho_max = max(rho_max, float(np.max(rho)))
-        hit = probe_q == j
-        rho_p[hit] = rho[probe_k[hit]]
-        s_p[hit] = s[probe_k[hit]]
-    return smax, rho_max, rho_p, s_p
+def _source_table(u0: RadialFunction, spec: GridSpec):
+    """Nodes rho_v, s_v of spec and the table (pi^d / (d-1)!) W
+    rho_v^(d-1) u0(rho_v, s_v) over them, rho_v along axis 0: the
+    integral of a radial f against u0 over H^d is sum table * f."""
+    d = u0.d
+    (rho, s), (wr, ws) = grid_nodes_weights(spec)
+    const = math.pi ** d / math.factorial(d - 1)
+    horizontal = const * wr * rho ** (d - 1)
+    return rho, s, horizontal[:, None] * ws[None, :] * u0.table(rho, s)
 
 
-def _factorized_sum(d, z, tau, wt, nodes, amp, points):
-    """sum over tau, grid nodes v of wt exp(L + c (i tau s - g rho)) amp_v
-    at every query w, with (rho, s) those of the pair (w, v), summed in
-    the order given in evolve_by_convolution.  amp is the amplitude
-    tensor on the grid with axes nodes (y_1..y_d, eta_1..eta_d, s)."""
-    c = 1.0 / (2.0 * z)
-    h_nodes, s_nodes = nodes[:-1], nodes[-1]
-    h_shape = amp.shape[:-1]
-    amp_h = amp.reshape(-1, s_nodes.size)
-    mesh = np.meshgrid(*h_nodes, indexing="ij")
-    rho_h = sum(x * x for x in mesh).reshape(-1)
-    qy = np.array([wp.y for wp in points])
-    qeta = np.array([wp.eta for wp in points])
-    qs = np.array([wp.s for wp in points])
-    qrho = np.sum(qy * qy, axis=1) + np.sum(qeta * qeta, axis=1)
-    # the node coordinate on axis y_k meets (g y_k + i tau eta_k) of the
-    # query, on axis eta_k it meets (g eta_k - i tau y_k)
-    pairing = ([(qy[:, k], 1j * qeta[:, k]) for k in range(d)]
-               + [(qeta[:, k], -1j * qy[:, k]) for k in range(d)])
-    big_l = sinh_ratio_log(tau, d)
+def _radial_sum(d, t, tau, wt, source, support_s, qrho, qs, series):
+    """sum over tau nodes of wt exp(L + c (i tau s_w - g rho_w)) times
+    sum_k series_k x^k rho_w^k M_k at the queries (qrho, qs), with the
+    moments M_k of the source table; see evolve_by_convolution."""
+    rho_v, s_v, table = source
+    a = 0.5 / t                             # c = 1 / (2z) = i a
+    ks = np.arange(series.size)
+    rho_v_pow = rho_v[:, None] ** ks
+    qrho_pow = qrho[None, :] ** ks[:, None]
+    half_log = sinh_ratio_log(tau, 1.0)     # log(2 tau / sinh 2 tau)
     g = tau_over_tanh2(tau)
-    out = np.zeros(len(points), dtype=complex)
+    x = -(a * a) * np.exp(2.0 * half_log) / 4.0
+    shift = support_s * abs(a) * np.abs(tau)
+    out = np.zeros(qrho.size, dtype=complex)
     for lo in range(0, tau.size, _TAU_BLOCK):
         blk = slice(lo, lo + _TAU_BLOCK)
         tb, gb = tau[blk], g[blk]
-        m = tb.size
-        # the s axis, for all queries at once, then exp(-c g rho_v)
-        part = np.exp(-1j * c * np.outer(tb, s_nodes)) @ amp_h.T
-        part *= np.exp(-c * np.outer(gb, rho_h))
-        part = part.reshape((m,) + h_shape)
-        # the horizontal axes, each against its (m, P, n_k) factors
-        for k, x in enumerate(h_nodes):
-            same, cross = pairing[k]
-            coef = np.outer(gb, same) + np.outer(tb, cross)
-            fac = np.exp(2.0 * c * coef[:, :, None] * x)
-            if k == 0:      # one batched matmul over the block
-                part = np.matmul(fac, part.reshape(m, x.size, -1)).reshape(
-                    (m, len(points)) + h_shape[1:])
-            else:
-                part = np.einsum("jpx,jpx...->jp...", fac, part)
+        # exp(-c i tau s_v) = exp(a tau s_v) is real; exp(-shift), moved
+        # here from the query factor, keeps it at most 1
+        grow = np.exp(a * np.outer(tb, s_v) - shift[blk, None])
+        rows = (grow @ table.T) * np.exp(-1j * a * np.outer(gb, rho_v))
+        moments = (rows @ rho_v_pow) * series * x[blk, None] ** ks
         query = wt[blk, None] * np.exp(
-            big_l[blk, None] + c * (1j * np.outer(tb, qs)
-                                    - np.outer(gb, qrho)))
-        out += np.sum(query * part, axis=0)
+            d * half_log[blk, None] + shift[blk, None]
+            - a * np.outer(tb, qs) - 1j * a * np.outer(gb, qrho))
+        out += np.sum(query * (moments @ qrho_pow), axis=0)
     return out
 
 
-def evolve_by_convolution(u0: RadialFunction, t: float, points,
-                          spec: GridSpec | None = None, tol: float = 1e-6):
+def evolve_by_convolution(u0: RadialFunction, t: float, points, *,
+                          tol: float = 1e-6):
     """u(t) at GroupPoints by convolving u0 with the unitary flow kernel.
 
-    u(t, w) = integral of u0(v) S_t(v^{-1} . w) over the support box of
-    u0, by the tensor rule of spec and the tau rule schrodinger_batch
-    picks for the (query, node) pairs.  Nodes where u0 is below 1e-16 of
-    its peak are dropped.  Every kept pair must satisfy the kernel strip
-    condition, checked up front; StripViolation otherwise.
+    u(t, w) = integral of u0(v) S_t(v^{-1} . w) dv, where S_t(rho, s) is
+    pref times the integral over tau of exp(L + c (i tau s - g rho)),
+    with z = -it, c = 1/(2z), g = tau/tanh 2tau, L = log (2tau/sinh 2tau)^d
+    and pref = (4 pi z)^(-(d+1)).  A pair has rho = rho_w + rho_v -
+    2 Y_w.Y_v and s = s_w - s_v + 2 Y_v.J Y_w, so at each tau the sphere
+    |Y_v|^2 = rho_v averages exp(B.Y_v), B = 2c (g Y_w + i tau J Y_w), to
+    0F1(; d; x rho_w rho_v) with x = c^2 (g^2 - tau^2), as Y_w.J Y_w = 0;
+    here x = -tau^2 / (4 t^2 sinh^2 2tau), real and >= -1/(16 t^2).  So
 
-    Order of summation: with c = 1/(2z), z = -it, g = tau/tanh 2tau and
-    L = log (2tau/sinh 2tau)^d, the pair quantities split as
-    rho = rho_w + rho_v - 2 (y_w.y_v + eta_w.eta_v) and
-    s = s_w - s_v + 2 (y_v.eta_w - eta_v.y_w).  So for each tau node the
-    source grid is summed one axis at a time: the s axis first against
-    exp(-c i tau s_v) (one matmul for all queries), then the factor
-    exp(-c g rho_v), then the 2d horizontal axes for each query against
-    exp(2c y_v (g y_w + i tau eta_w)) and exp(2c eta_v (g eta_w - i tau
-    y_w)).  The query factor w_tau exp(L + c (i tau s_w - g rho_w)) and
-    the sum over tau come last.  This is the quadrature sum of the
-    pair-by-pair kernel, reordered; it costs about
-    m (N + P n^(2d)) for m tau nodes, N grid nodes, P queries and n
-    nodes per axis, against P N m exponentials pair by pair.
+        u(t, w) = pref sum_tau w_tau exp(L + c (i tau s_w - g rho_w))
+                  sum_k x^k rho_w^k M_k(tau) / ((d)_k k!),
+        M_k(tau) = (pi^d/(d-1)!) sum W rho_v^(d-1+k) u0(rho_v, s_v)
+                   exp(-c (i tau s_v + g rho_v))
 
-    The error bound is the kernel error, estimated on 8 pairs by halving
-    the panel width, times the l1 norm of the node amplitudes.  Returns
-    (values, err_bound)."""
-    if spec is None:
-        spec = convolution_grid(u0)
+    on the Simpson rule (weights W) of convolution_grid: a matmul over
+    s_v, the moments, then the series at each query, which enters only
+    through (rho_w, s_w) = (|Y_w|^2, s_w).  The series stops at the first
+    term whose bound X^k / ((d)_k k!), X = max |x rho_w rho_v|, is below
+    1e-17; inside the strip X < d^2/4.
+
+    Every pair has |s| <= max |s_w| + S + 2 sqrt(max rho_w R) and
+    rho <= (sqrt(max rho_w) + sqrt(R))^2, S and R the supports of u0.
+    The tau rule is _unitary_tau_rule's for these bounds; StripViolation
+    if the first reaches the strip 4 d |t|.  The error bound adds the
+    change when the tau panels are halved and the change on the
+    every-other-node source sub-rule.  Returns (values, err_bound)."""
     d = u0.d
-    if len(spec.axes) != 2 * d + 1:
-        raise ValueError("the grid needs 2 d + 1 axes")
-    pts, w = _flatten_grid(spec)
-    vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
-    rho_v = np.sum(vy * vy, axis=1) + np.sum(veta * veta, axis=1)
-    u0v = np.asarray(u0.profile(rho_v, vs))
-    amp = w * u0v
-    keep = np.abs(u0v) > 1e-16 * float(np.max(np.abs(u0v)))
-
+    t = float(t)
     points = list(points)
-    n_pairs = len(points) * int(np.count_nonzero(keep))
-    take = np.linspace(0, n_pairs - 1, min(8, n_pairs)).astype(int)
-    smax, rho_max, rho_p, s_p = _pair_extent(points, vy[keep], veta[keep],
-                                             vs[keep], take)
-    band = 4.0 * d * abs(float(t))
+    if any(wp.d != d for wp in points):
+        raise ValueError("query point dimension mismatch")
+    qrho = np.array([wp.horizontal_sq() for wp in points])
+    qs = np.array([wp.s for wp in points])
+    rho_w = float(np.max(qrho))
+    big_r, big_s = u0.support_rho, u0.support_s
+    smax = float(np.max(np.abs(qs))) + big_s + 2.0 * math.sqrt(rho_w * big_r)
+    rho_max = (math.sqrt(rho_w) + math.sqrt(big_r)) ** 2
+    band = 4.0 * d * abs(t)
     if smax >= band:
         raise StripViolation(
-            "translated grid node reaches |s| = %g >= strip %g; "
+            "translated source box reaches |s| = %g >= strip %g; "
             "grow t or shrink the box" % (smax, band))
-    z, t_cut, width = _unitary_tau_rule(d, float(t), smax, rho_max, tol)
+    z, t_cut, width = _unitary_tau_rule(d, t, smax, rho_max, tol)
     pref = (4.0 * math.pi * z) ** (-(d + 1))
-    coarse = pref * _fixed_grid_sum(d, z, rho_p, s_p, t_cut, width)
-    finer = pref * _fixed_grid_sum(d, z, rho_p, s_p, t_cut, 0.5 * width)
-    kerr = max(float(np.max(np.abs(finer - coarse))),
-               1e-16 * float(np.max(np.abs(coarse))))
 
-    nodes, _ = grid_nodes_weights(spec)
-    tau, wt = _fixed_tau_rule(t_cut, width)
-    amp_grid = np.where(keep, amp, 0.0).reshape([x.size for x in nodes])
-    values = pref * _factorized_sum(d, z, tau, wt, nodes, amp_grid, points)
-    err = kerr * float(np.sum(np.abs(amp[keep])))
+    big_x = rho_w * big_r / (16.0 * t * t)
+    series = [1.0]                          # 1 / ((d)_k k!)
+    while series[-1] * big_x ** (len(series) - 1) > 1e-17:
+        k = len(series)
+        series.append(series[-1] / ((d + k - 1) * k))
+    series = np.array(series)
+
+    spec = convolution_grid(u0)
+    full = _source_table(u0, spec)
+    sub = _source_table(u0, GridSpec(tuple((lo, hi, n // 2 + 1)
+                                           for lo, hi, n in spec.axes)))
+
+    def radial_sum(panel, source):
+        tau, wt = _fixed_tau_rule(t_cut, panel)
+        return pref * _radial_sum(d, t, tau, wt, source, big_s, qrho, qs,
+                                  series)
+
+    values = radial_sum(width, full)
+    err = (float(np.max(np.abs(radial_sum(0.5 * width, full) - values)))
+           + float(np.max(np.abs(radial_sum(width, sub) - values)))
+           + 1e-16 * float(np.max(np.abs(values))))
     return values, err

@@ -6,8 +6,9 @@ Each test runs a full criterion at its stated tolerance and prints
 loosens a bound to stay green; a criterion the implementation genuinely
 misses stays red.  All ten criteria are expected to pass.
 
-Expected wall time is a few minutes, dominated by the group-convolution
-experiments.  The unit modules stay fast; this file is the slow gate.
+Expected wall time is well under a minute, most of it the radial
+transform of kernel-consistency.  The unit modules stay fast; this file
+is the slow gate.
 """
 
 import math

@@ -27,8 +27,8 @@ def test_parse_times():
 
 
 def test_build_config_flags():
-    cfg = build_config(["mkappa", "--R0", "2.5", "--t", "0.5,2"])
-    assert cfg.experiment == "mkappa"
+    cfg = build_config(["kernel-consistency", "--R0", "2.5", "--t", "0.5,2"])
+    assert cfg.experiment == "kernel-consistency"
     assert cfg.r0 == 2.5
     assert cfg.t_values == (0.5, 2.0)
     assert cfg.fast is False
@@ -104,6 +104,28 @@ def test_main_config_errors(capsys):
         assert out == ""
         assert err.startswith("hlab: ")
         assert needle in err
+
+
+def test_unread_flags_are_refused(capsys):
+    # one flag per report that the report would ignore; kernel-consistency
+    # reads every setting
+    cases = (["heat-equiv", "--kappa", "0.5"], ["mehler", "--d", "2"],
+             ["dispersion", "--fast", "--seed", "5"],
+             ["strichartz-window", "--fast", "--seed", "5"],
+             ["concentrate", "--R0", "2"],
+             ["restricted-sweep", "--seed", "3"],
+             ["mkappa", "--kappa", "0.5", "--t", "2"])
+    for argv in cases:
+        flags = [a for a in argv[1:] if a.startswith("--") and a != "--fast"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "hlab: %s does not read %s\n" % (argv[0],
+                                                     ", ".join(flags))
+    assert set(experiments.READS) == set(experiments.CATALOG)
+    assert set(experiments.READS["kernel-consistency"]) == {
+        "d", "kappa", "r0", "t_values", "fast", "seed"}
 
 
 def test_main_default_times_spelled_out(capsys):

@@ -281,13 +281,33 @@ def test_batch_matches_scalar_unitary():
 
 
 def test_batch_error_probe_on_a_single_panel():
-    # The phase is slow at this pair, so the tau rule is one Gauss panel
-    # per side; the halved-width probe must split it, not rebuild it.
+    # The phase is slow at this pair, so no phase speed sets the panel
+    # width; the halved-width probe must split the panels, not rebuild
+    # them.
     t, rho, s = 8.0, 0.1358, 4.8758
     vals, err = schrodinger_batch(1, t, [rho], [s], tol=1e-10)
     ref = schrodinger_kernel(
         KernelQuery(t_or_z=t, rho=rho, s=s, tol=1e-13)).value
     assert err >= 0.5 * abs(vals[0] - ref)
+
+
+def test_batch_meets_tol_where_the_phase_is_slow():
+    # Where the phase is slow the Gauss panels are capped at width 16, as
+    # where it is fast; one panel per side over the whole cut-off missed
+    # tol 1e-10 by 1.8e-9 at the first batch and 2.2e-9 at the second
+    # (the three t = 16 pairs that seed 410 of the benchmark's batch
+    # check draws, where the miss was 1e-5 relative at tol 1e-8).
+    batches = ((8.0, [0.1358], [4.8758]),
+               (16.0, [0.1178649985518262, 0.3707308834088181,
+                       0.3439788243649886],
+                [6.132820008365812, -23.819258889621338,
+                 -13.292356835720263]))
+    for t, rho, s in batches:
+        vals, _ = schrodinger_batch(1, t, rho, s, tol=1e-10)
+        for r, sv, v in zip(rho, s, vals):
+            ref = schrodinger_kernel(
+                KernelQuery(t_or_z=t, rho=r, s=sv, tol=1e-13)).value
+            assert abs(v - ref) <= 1e-10, (t, r, sv, abs(v - ref))
 
 
 def test_fixed_tau_rule_is_mirrored_with_an_edge_at_zero():

@@ -86,7 +86,7 @@ def test_grid_spec_validation():
         GridSpec(((0.0, 0.0, 8),))
     with pytest.raises(ValueError):
         GridSpec(((0.0, 1.0, 1),))
-    spec = GridSpec.box([(-1.0, 1.0, 5), (-1.0, 1.0, 5), (-2.0, 2.0, 9)])
+    spec = GridSpec(((-1.0, 1.0, 5), (-1.0, 1.0, 5), (-2.0, 2.0, 9)))
     nodes, weights = grid_nodes_weights(spec)
     assert len(nodes) == 3 and len(weights) == 3
     assert weights[0].sum() == pytest.approx(2.0, rel=1e-13)
