@@ -84,7 +84,9 @@ class SpectralCoefficients:
     def __post_init__(self):
         self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
+        # C order, whatever the caller passed: the sums over lam in
+        # spectral_norm_sq and synthesize then see one memory layout
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.lambda_grid.ndim != 1:
             raise ValueError("lambda_grid must be one dimensional")
         if np.any(self.lambda_grid == 0.0):
@@ -113,17 +115,11 @@ def symbol(ell: int, lam: float, d: int = 1) -> float:
     return 4.0 * abs(lam) * (2 * ell + d)
 
 
-def wigner_radial(ell: int, lam: float, rho):
-    """exp(-|lam| rho) L_ell^(d-1)(2 |lam| rho) at d = 1 uses alpha = 0;
-    pass alpha through wigner_radial_alpha for other d."""
-    return wigner_radial_alpha(ell, lam, rho, 0.0)
-
-
-def wigner_radial_alpha(ell: int, lam: float, rho, alpha: float):
+def wigner_radial(ell: int, lam: float, rho, alpha: float = 0.0):
+    """exp(-|lam| rho) L_ell^(alpha)(2 |lam| rho); alpha = d - 1 on H^d."""
     rho = np.asarray(rho, dtype=float)
     a = abs(float(lam))
-    tab = laguerre_table(ell, alpha, 2.0 * a * rho)
-    return np.exp(-a * rho) * tab[ell]
+    return np.exp(-a * rho) * laguerre_table(ell, alpha, 2.0 * a * rho)[ell]
 
 
 def wigner_general_d1(n: int, m: int, lam: float, y: float, eta: float,
@@ -205,10 +201,11 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
                   integral of exp(-i s lam) wigner_radial * f
                   against rho^(d-1) drho ds over the declared support.
 
-    When f.table is real, c(ell, -lam) = conj c(ell, lam): the transform is
-    computed only at the distinct |lam| of the grid and the lam < 0 columns
-    are their conjugates, the same bits a pass over every lam gives.  A
-    complex table is transformed at every lam of the grid.
+    The s rule is symmetric about 0, so the table splits into its even
+    and odd parts in s, each further into real and imaginary parts.  Every
+    part that is not identically zero is a real cosine (even) or sine (odd)
+    transform on the s >= 0 half of the rule, taken at the distinct |lam|;
+    the bump, real and even in s, has one part and real coefficients.
     """
     d = f.d
     if lambda_grid is None:
@@ -221,48 +218,52 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
     s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
-    values = np.empty((ell_max + 1, lam.size), dtype=complex)
-    folded = np.isrealobj(table)
-    if folded:
-        nodes, inv = np.unique(np.abs(lam), return_inverse=True)
-        out = np.empty((ell_max + 1, nodes.size), dtype=complex)
-    else:
-        nodes, out = lam, values
 
-    # Streamed over lam blocks and the Laguerre sweep: the full
-    # (ell, rho, lam) table would not fit once ell_max or the grid grows.
-    # A block holds _FWD_CHUNK elements, small enough that its weights, the
-    # sweep's three buffers and the product stay in cache across every ell
-    # step.  The rho sum stays a plain sum over axis 0: numpy adds the rows
-    # of a block wider than one column in order, as it did over one large
-    # chunk, so the values are the same bits; einsum or a matmul here would
-    # reorder the sum.
+    # s[half:] are the nodes s >= 0, s[(n_s - 1) // 2::-1] their mirrors;
+    # a node at s = 0 (odd n_s) is its own mirror and counts once
+    half = n_s // 2
+    sh, wh = s[half:], 2.0 * ws[half:]
+    wh[0] /= 1 + n_s % 2
+    # (trig, factor of the part's transform in c, half table (n_half, n_rho))
+    parts = []
+    for unit, x in ((1.0, table.real), (1j, np.imag(table))):
+        xh, xm = x[:, half:].T, x[:, (n_s - 1) // 2::-1].T
+        for trig, factor, mirror in ((np.cos, unit, xm),
+                                     (np.sin, -1j * unit * np.sign(lam), -xm)):
+            if not np.array_equal(xh, -mirror):     # else the part is 0
+                parts.append((trig, factor,
+                              np.ascontiguousarray(0.5 * (xh + mirror))))
+    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    out = np.empty((len(parts), ell_max + 1, nodes.size))
+
+    # Streamed over |lam| blocks and the Laguerre sweep: the full
+    # (ell, lam, rho) table would not fit once ell_max or the grid grows.
+    # A lam-major block holds _FWD_CHUNK elements per part, so that it and
+    # the sweep's buffers stay in cache across every ell step; the rho sum
+    # is one row dot per lam.
     alpha = d - 1.0
     rad_w = wr * rho ** (d - 1)
-    base = math.pi ** d / math.factorial(d - 1)
-    consts = np.array([base / multiplicity(ell, d)
-                       for ell in range(ell_max + 1)])
     chunk = max(1, _FWD_CHUNK // max(1, n_rho))
     for lo in range(0, nodes.size, chunk):
         hi = min(lo + chunk, nodes.size)
         lc = nodes[lo:hi]
-        phases = np.exp(-1j * np.outer(s, lc))          # (n_s, Jc)
-        a = table @ (ws[:, None] * phases)              # (n_rho, Jc)
-        x = 2.0 * np.outer(rho, np.abs(lc))
-        wa = (np.exp(-np.outer(rho, np.abs(lc)))
-              * rad_w[:, None]) * a
-        prod = np.empty_like(wa)
+        trig = {fn: fn(np.outer(lc, sh)) * wh for fn in {p[0] for p in parts}}
+        wa = np.empty((len(parts), hi - lo, n_rho))
+        for p, (fn, _, tab) in enumerate(parts):
+            np.matmul(trig[fn], tab, out=wa[p])
+        wa *= np.exp(-np.outer(lc, rho)) * rad_w
+        x = 2.0 * np.outer(lc, rho)
         for k, lk in enumerate(laguerre_sweep(ell_max, alpha, x)):
-            term = np.multiply(wa, lk, out=prod) if k else wa   # L_0 = 1
-            out[k, lo:hi] = term.sum(axis=0)
-    out *= consts[:, None]
-    if folded:
-        # filled in place rather than returned as out[:, inv], which is
-        # Fortran-ordered: the BLAS reduction in spectral_inner rounds
-        # differently with the memory order of the values
-        np.take(out, inv, axis=1, out=values)
-        neg = values[:, :int(np.searchsorted(lam, 0.0))]
-        np.conjugate(neg, out=neg)
+            if k:
+                np.vecdot(wa, lk, out=out[:, k, lo:hi])
+            else:                                           # L_0 = 1
+                wa.sum(axis=-1, out=out[:, 0, lo:hi])
+    base = math.pi ** d / math.factorial(d - 1)
+    out *= np.array([base / multiplicity(ell, d)
+                     for ell in range(ell_max + 1)])[:, None]
+    values = np.zeros((ell_max + 1, lam.size), dtype=complex)
+    for (_, factor, _), part in zip(parts, out):
+        values += factor * part[:, inv]
     return SpectralCoefficients(d=d, lambda_grid=lam,
                                 weights=np.asarray(lambda_weights, float),
                                 values=values)
@@ -305,7 +306,9 @@ def synthesize(c: SpectralCoefficients, rho, s) -> np.ndarray:
                 term *= lk
                 acc += term
         phase = np.exp(1j * np.outer(s_f[lo:hi], lam))
-        out[lo:hi] = const * ((acc * phase) @ wl)
+        # einsum sums over lam in one fixed order; a BLAS matrix-vector
+        # product would round differently with the BLAS thread count
+        out[lo:hi] = const * np.einsum("ij,j->i", acc * phase, wl)
     return out.reshape(shape)
 
 
@@ -320,7 +323,7 @@ def forward_coefficient(f: RadialFunction, ell: int, lam: float,
     s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
     vert = table @ (ws * np.exp(-1j * s * point.lam))
-    blk = wigner_radial_alpha(point.ell, point.lam, rho, d - 1.0)
+    blk = wigner_radial(point.ell, point.lam, rho, d - 1.0)
     base = math.pi ** d / math.factorial(d - 1) / multiplicity(point.ell, d)
     return complex(base * np.sum(wr * rho ** (d - 1) * blk * vert))
 
@@ -328,50 +331,27 @@ def forward_coefficient(f: RadialFunction, ell: int, lam: float,
 # ---------------------------------------------------------------------------
 # Quadratic quantities
 
-def spectral_inner(c1: SpectralCoefficients, c2: SpectralCoefficients) -> complex:
-    """Inner product in the transform domain.
-
-    sum over ell of multiplicity(ell, d) *
-    integral conj(c2) c1 |lam|^d d(lam), no outside constant.
-    """
-    if c1.d != c2.d or c1.ell_max != c2.ell_max:
-        raise ValueError("coefficient layouts differ")
-    if c1.lambda_grid.shape != c2.lambda_grid.shape or np.any(
-            c1.lambda_grid != c2.lambda_grid):
-        raise ValueError("lambda grids differ")
-    d = c1.d
-    wl = c1.weights * np.abs(c1.lambda_grid) ** d
-    mults = np.array([multiplicity(ell, d) for ell in range(c1.ell_max + 1)],
-                     dtype=float)
-    per_ell = (c1.values * np.conj(c2.values)) @ wl
-    return complex(mults @ per_ell)
-
-
 def spectral_norm_sq(c: SpectralCoefficients) -> float:
-    return float(spectral_inner(c, c).real)
-
-
-def spatial_inner(f: RadialFunction, g: RadialFunction,
-                  n_rho: int = 256, n_s: int = 512) -> complex:
-    """L^2(H^d) pairing of two radial functions via their profiles."""
-    if f.d != g.d:
-        raise ValueError("dimensions differ")
-    d = f.d
-    rho_max = max(f.support_rho, g.support_rho)
-    s_max = max(f.support_s, g.support_s)
-    rho, wr = gauss_panels(0.0, rho_max, 1, n_rho)
-    s, ws = gauss_panels(-s_max, s_max, 1, n_s)
-    tf = f.table(rho, s)
-    tg = g.table(rho, s)
-    base = math.pi ** d / math.factorial(d - 1)
-    inner = np.einsum("i,j,ij->", wr * rho ** (d - 1), ws,
-                      tf * np.conj(tg))
-    return complex(base * inner)
+    """Squared norm in the transform domain: sum over ell of
+    multiplicity(ell, d) * integral |c|^2 |lam|^d d(lam), no outside
+    constant."""
+    wl = c.weights * np.abs(c.lambda_grid) ** c.d
+    mults = np.array([multiplicity(ell, c.d) for ell in range(c.ell_max + 1)],
+                     dtype=float)
+    # fixed-order sum over lam, as in synthesize
+    per_ell = np.einsum("ij,j->i", c.values * np.conj(c.values), wl)
+    return float(complex(mults @ per_ell).real)
 
 
 def spatial_norm_sq(f: RadialFunction, n_rho: int = 256,
                     n_s: int = 512) -> float:
-    return float(spatial_inner(f, f, n_rho, n_s).real)
+    """Squared L^2(H^d) norm of a radial function via its profile."""
+    rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
+    s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
+    tf = f.table(rho, s)
+    base = math.pi ** f.d / math.factorial(f.d - 1)
+    inner = np.einsum("i,j,ij->", wr * rho ** (f.d - 1), ws, tf * np.conj(tf))
+    return float(complex(base * inner).real)
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,15 @@ def _radial_sum(d, t, tau, wt, source, support_s, qrho, qs, series):
         # here from the query factor, keeps it at most 1
         grow = np.exp(a * np.outer(tb, s_v) - shift[blk, None])
         rows = (grow @ table.T) * np.exp(-1j * a * np.outer(gb, rho_v))
-        moments = (rows @ rho_v_pow) * series * x[blk, None] ** ks
+        # complex times real as two real products: a complex BLAS product
+        # rounds differently with the BLAS thread count
+        moments = (rows.real @ rho_v_pow + 1j * (rows.imag @ rho_v_pow)
+                   ) * series * x[blk, None] ** ks
         query = wt[blk, None] * np.exp(
             d * half_log[blk, None] + shift[blk, None]
             - a * np.outer(tb, qs) - 1j * a * np.outer(gb, qrho))
-        out += np.sum(query * (moments @ qrho_pow), axis=0)
+        out += np.sum(query * (moments.real @ qrho_pow
+                               + 1j * (moments.imag @ qrho_pow)), axis=0)
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from hlab import experiments
 from hlab.cli import _parse_times, build_config, main
-from hlab.experiments import ConfigError, ExperimentReport
+from hlab.experiments import ConfigError, ExperimentConfig, ExperimentReport
 
 
 def test_parse_times():
@@ -104,6 +104,41 @@ def test_main_config_errors(capsys):
         assert out == ""
         assert err.startswith("hlab: ")
         assert needle in err
+
+
+def test_times_a_report_would_drop_are_refused(capsys):
+    # kernel-consistency and concentrate use one time; under --fast
+    # heat-equiv uses two, dispersion and restricted-sweep three
+    cases = ((["kernel-consistency", "--fast", "--t", "2.5,5"],
+              "kernel-consistency --fast uses 1 time(s), got 2.5,5"),
+             (["kernel-consistency", "--t", "2.5,5"],
+              "kernel-consistency uses 1 time(s), got 2.5,5"),
+             (["concentrate", "--t", "1.7,3"],
+              "concentrate uses 1 time(s), got 1.7,3"),
+             (["heat-equiv", "--fast", "--t", "0.5,1,2"],
+              "heat-equiv --fast uses 2 time(s), got 0.5,1,2"),
+             (["dispersion", "--fast", "--t", "4,8,16,32"],
+              "dispersion --fast uses 3 time(s), got 4,8,16,32"),
+             (["restricted-sweep", "--fast", "--t", "1,2,4,8"],
+              "restricted-sweep --fast uses 3 time(s), got 1,2,4,8"))
+    for argv, message in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "hlab: %s\n" % message
+    # at default size the same lists are used in full, and under --fast
+    # the default lists are cut to what the report uses
+    for argv in (["heat-equiv", "--t", "0.5,1,2"],
+                 ["dispersion", "--t", "4,8,16,32"],
+                 ["restricted-sweep", "--t", "1,2,4,8"],
+                 ["heat-equiv", "--fast"], ["dispersion", "--fast"],
+                 ["restricted-sweep", "--fast"]):
+        build_config(argv).validate()
+    assert ExperimentConfig("heat-equiv", fast=True).times(
+        (0.5, 1.0, 2.0)) == (0.5, 1.0)
+    assert ExperimentConfig("dispersion", fast=True).times(
+        (4.0, 8.0, 16.0, 32.0)) == (4.0, 8.0, 16.0)
 
 
 def test_unread_flags_are_refused(capsys):

@@ -1,6 +1,9 @@
 """Radial transform layer: blocks, grids, Plancherel, diagonal flows."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,12 +136,13 @@ def _analyze_reference(f, ell_max, grid, n_rho, n_s):
 
 
 @pytest.mark.parametrize("one_column", [False, True])
-@pytest.mark.parametrize("case", [1, 2, "shifted", "complex"])
+@pytest.mark.parametrize("case", [1, 2, "shifted", "odd", "complex"])
 def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
-    # 1 and 2: the bump at that d.  "shifted": real but not even in s, so
-    # the folded lam < 0 columns are conjugates that differ from the lam > 0
-    # ones.  "complex": (1 + i/2) times the bump, transformed at every lam;
-    # its c(ell, -lam) is not conj c(ell, lam).
+    # 1 and 2: the bump at that d, even in s: the cosine part alone.
+    # "shifted": real but neither even nor odd in s, a cosine and a sine
+    # part.  "odd": s times the bump, the sine part alone.  "complex":
+    # (1 + i/2) times the bump, cosine parts of the real and imaginary
+    # components; its c(ell, -lam) is not conj c(ell, lam).
     bump = bump_profile(1.1)
     grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=7)
     if case == 1:
@@ -151,6 +155,10 @@ def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
         f = RadialFunction(profile=lambda rho, s: bump.profile(rho, s - 0.4),
                            support_rho=bump.support_rho,
                            support_s=bump.support_s + 0.4)
+    elif case == "odd":
+        f = RadialFunction(profile=lambda rho, s: s * bump.profile(rho, s),
+                           support_rho=bump.support_rho,
+                           support_s=bump.support_s)
     else:
         f = RadialFunction(
             profile=lambda rho, s: (1.0 + 0.5j) * bump.profile(rho, s),
@@ -159,9 +167,11 @@ def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
         monkeypatch.setattr(fourier, "_FWD_CHUNK", 1)
     c = analyze(f, ell_max=6, lambda_grid=grid, lambda_weights=w,
                 n_rho=16, n_s=24)
-    np.testing.assert_allclose(c.values,
-                               _analyze_reference(f, 6, grid, 16, 24),
-                               rtol=1e-13)
+    want = _analyze_reference(f, 6, grid, 16, 24)
+    # the odd case has an entry 2e3 times below the largest, where both
+    # routes sit about 1e-13 of it from an extended-precision sum
+    atol = 1e-15 * np.max(np.abs(want)) if case == "odd" else 0.0
+    np.testing.assert_allclose(c.values, want, rtol=1e-13, atol=atol)
 
 
 def test_real_data_has_hermitian_coefficients():
@@ -170,6 +180,60 @@ def test_real_data_has_hermitian_coefficients():
     c = analyze(f, ell_max=2, lambda_grid=grid,
                 lambda_weights=np.ones(4), n_rho=96, n_s=96)
     assert np.array_equal(c.values[:, :2], np.conj(c.values[:, :1:-1]))
+    # the bump is even in s: its coefficients are real, not merely close
+    assert not np.any(c.values.imag)
+    shifted = RadialFunction(profile=lambda rho, s: f.profile(rho, s - 0.3),
+                             support_rho=1.0, support_s=1.3)
+    c = analyze(shifted, ell_max=2, lambda_grid=grid,
+                lambda_weights=np.ones(4), n_rho=96, n_s=97)
+    assert np.all(c.values.imag[:, 2:] != 0.0)
+    assert np.array_equal(c.values[:, :2], np.conj(c.values[:, :1:-1]))
+
+
+def test_analyze_of_zero_data_is_zero():
+    f = RadialFunction(profile=lambda rho, s: 0.0 * rho * s, support_rho=1.0,
+                       support_s=1.0)
+    c = analyze(f, ell_max=3, lambda_grid=np.array([-1.0, 2.0]),
+                lambda_weights=np.ones(2), n_rho=8, n_s=9)
+    assert np.array_equal(c.values, np.zeros((4, 2)))
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from hlab.fourier import (analyze, bump_profile, evolve_schrodinger,
+                          single_sign_lambda_grid, spectral_norm_sq,
+                          synthesize)
+gp, wp = single_sign_lambda_grid(5e-4, 40.0, 20001, 1)
+grid = np.concatenate([-gp[::-1], gp])
+w = np.concatenate([wp[::-1], wp])
+c = analyze(bump_profile(1.0), ell_max=4, lambda_grid=grid, lambda_weights=w,
+            n_rho=64, n_s=65)
+c = evolve_schrodinger(c, 2.5)
+vals = [synthesize(c, r, s) for r, s in ((0.0, 0.0), (0.3, -0.7), (1.1, 2.0))]
+vals.append(spectral_norm_sq(c))
+data = c.values.tobytes() + np.array(vals).tobytes()
+print(hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_transform_bits_do_not_depend_on_blas_threads():
+    # one-point syntheses over a wide lam grid, as kernel-consistency does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(fourier.__file__))]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    digests = []
+    for threads in (None, "1"):
+        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            if threads is None:
+                env.pop(key, None)
+            else:
+                env[key] = threads
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def _band_limited():
@@ -205,6 +269,15 @@ def test_plancherel_identity_on_band_limited_data():
     spec = spectral_norm_sq(c)
     spat = spatial_norm_sq(f, n_rho=160, n_s=400)
     assert spec / spat == pytest.approx(math.pi ** 2, rel=5e-3)
+
+
+def test_spectral_norm_does_not_depend_on_memory_order():
+    c = analyze(bump_profile(1.0), ell_max=8)
+    fortran = SpectralCoefficients(d=1, lambda_grid=c.lambda_grid,
+                                   weights=c.weights,
+                                   values=np.asfortranarray(c.values))
+    assert fortran.values.flags.c_contiguous
+    assert spectral_norm_sq(fortran) == spectral_norm_sq(c)
 
 
 def test_unitary_flow_conserves_spectral_mass():
