@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .quadrature import Integrand1D, gauss_panels, integrate_exponential_tail
+from .quadrature import (Integrand1D, _leggauss, gauss_panels,
+                         integrate_exponential_tail)
 from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
                       sinh_ratio_log, tau_over_tanh2)
 
@@ -287,8 +288,10 @@ def series_term_closed(d: int, t: float, rho: float, s: float,
     p = 4 t (2 ell + d) + rho - i s,  b = 2 rho.
 
     Vectorized over ell.  The term of the kernel series is 2 Re J_ell.
+    ell may also be real: the formula is then a smooth interpolation of
+    the terms, which heat_kernel_series integrates for its tail.
     """
-    ells = np.atleast_1d(np.asarray(ell, dtype=int))
+    ells = np.atleast_1d(np.asarray(ell, dtype=float))
     alpha = d - 1
     p = 4.0 * t * (2.0 * ells + d) + rho - 1j * s
     b = 2.0 * rho
@@ -299,7 +302,7 @@ def series_term_closed(d: int, t: float, rho: float, s: float,
         out[zero] = math.gamma(alpha + 2) * p[zero] ** (-(alpha + 2))
     pos = ~zero
     if np.any(pos):
-        lp = ells[pos].astype(float)
+        lp = ells[pos]
         pp = p[pos]
         pb = pp - b
         coef = np.ones(lp.size)
@@ -338,50 +341,74 @@ def series_term_quadrature(d: int, t: float, rho: float, s: float,
     return complex(val)
 
 
+def _series_estimate(f, terms: np.ndarray, n: int) -> float:
+    """Sum of the series terms f(ell) for ell < n (given in terms) plus
+    the midpoint Euler-Maclaurin tail
+
+        sum over ell >= n of f(ell)
+            ~ integral from n - 1/2 to inf of f + f'(n - 1/2) / 24,
+
+    f taken at real ell.  Under ell = (n - 1/2) / u the integral becomes
+    that of ell^2 f / (n - 1/2) over u in (0, 1], smooth because ell^2 f
+    is analytic in 1/ell; 24 Gauss-Legendre nodes take it.  f' is the
+    central difference f(n) - f(n - 1)."""
+    x, w = _leggauss(24)
+    half = n - 0.5
+    ell = half / (0.5 * (x + 1.0))
+    at = f(np.append(ell, n))
+    integral = 0.5 * float(w @ (at[:-1] * ell * ell)) / half
+    return math.fsum(terms[:n]) + integral + (at[-1] - terms[n - 1]) / 24.0
+
+
 def heat_kernel_series(q: KernelQuery,
                        budget: TruncationBudget | None = None) -> KernelValue:
     """Heat kernel summed over Laguerre indices.
 
-    Terms fall off like ell^(-2); after budget.max_terms closed-form terms
-    the remainder is extrapolated by a two-point fit of ell^2 * term to
-    a + b / ell.  If the estimated tail error stays above
-    budget.tail_tolerance, BudgetExhausted is raised with the partial sum
-    attached."""
+    The first n closed-form terms are summed directly and the rest by the
+    Euler-Maclaurin tail of _series_estimate.  n starts at the larger of
+    256 and the first power of two above rho / (4 t), so that
+    |b / p| < 2/3 on the whole tail, and doubles until err meets
+    budget.tail_tolerance.  err is the change of the estimate from n/2 to
+    n terms plus the round-off floor 1e-16 sum |terms|.  It uses no term
+    beyond n, so budget.max_terms is a hard ceiling on n, which is
+    returned as the truncation point.  BudgetExhausted, carrying the
+    estimate, is raised once doubling would pass max_terms or as soon as
+    the round-off floor alone is above the tolerance."""
     if budget is None:
         budget = TruncationBudget()
     d = q.d
     t = q.t
     if t <= 0.0:
         raise ValueError("heat kernel needs t > 0")
-    n = budget.max_terms
+    tol = budget.tail_tolerance
     const = 2.0 ** (d - 1) / math.pi ** (d + 1)
+    n = 256
+    while n <= q.rho / (4.0 * t):
+        n *= 2
+    n = min(n, budget.max_terms)
 
-    ells = np.arange(n)
-    terms = 2.0 * np.real(series_term_closed(d, t, q.rho, q.s, ells))
-    partial = float(np.sum(terms))
+    def f(ell):
+        return 2.0 * np.real(series_term_closed(d, t, q.rho, q.s, ell))
 
-    if n >= 16:
-        l1 = n - 1
-        l2 = (3 * n) // 4
-        g1 = terms[l1] * l1 * l1
-        g2 = terms[l2] * l2 * l2
-        bb = (g1 - g2) / (1.0 / l1 - 1.0 / l2)
-        aa = g1 - bb / l1
-        p2 = 1.0 / n + 1.0 / (2.0 * n * n) + 1.0 / (6.0 * n ** 3)
-        p3 = 1.0 / (2.0 * n * n) + 1.0 / (2.0 * n ** 3)
-        tail = aa * p2 + bb * p3
-        err = abs(g1 - g2) / n + 1e-16 * abs(partial)
-    else:
-        tail = 0.0
-        err = abs(terms[-1]) * n
-    value = const * (partial + tail)
-    err_final = const * err
-    if err_final > budget.tail_tolerance:
-        raise BudgetExhausted(
-            "tail error %.3e above tolerance %.3e after %d terms"
-            % (err_final, budget.tail_tolerance, n),
-            value=value, err=err_final, terms=n)
-    return KernelValue(complex(value), err_final, float(n))
+    terms = f(np.arange(n))
+    prev = _series_estimate(f, terms, n // 2) if n >= 2 else math.inf
+    while True:
+        est = _series_estimate(f, terms, n)
+        floor = const * 1e-16 * float(np.sum(np.abs(terms)))
+        err = const * abs(est - prev) + floor
+        if err <= tol:
+            return KernelValue(complex(const * est), err, float(n))
+        if floor > tol:
+            raise BudgetExhausted(
+                "round-off floor %.3e above tolerance %.3e after %d terms"
+                % (floor, tol, n), value=const * est, err=err, terms=n)
+        if 2 * n > budget.max_terms:
+            raise BudgetExhausted(
+                "tail error %.3e above tolerance %.3e after %d terms"
+                % (err, tol, n), value=const * est, err=err, terms=n)
+        terms = np.concatenate([terms, f(np.arange(n, 2 * n))])
+        prev = est
+        n *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,17 @@ def integrate_exponential_tail(integrand: Integrand1D, tol: float,
     fv = _complex_valued(integrand.evaluate)
 
     def amplitude(points: np.ndarray) -> float:
-        mags = np.abs(fv(points)) * np.exp(rate * np.abs(points))
+        at = np.abs(points)
+        absf = np.abs(fv(points))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mags = absf * np.exp(rate * at)
+            # where exp overflows the product is read in logs: 0 once f
+            # has underflowed (0 * inf would be NaN), finite before that
+            mags = np.where(np.isfinite(mags), mags,
+                            np.exp(np.log(absf) + rate * at))
+        mags = mags[~np.isnan(mags)]
+        if not mags.size:
+            raise QuadratureError("integrand is NaN at every probe")
         return float(np.max(mags))
 
     probes = np.concatenate([_PROBE_BASE, -_PROBE_BASE[1:]])

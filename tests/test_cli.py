@@ -200,6 +200,17 @@ def test_main_numerical_failure_exit_three(capsys):
     assert err.count("\n") == 1
 
 
+def test_heat_equiv_below_the_round_off_floor_exit_three(capsys):
+    # at t = 0.1 the kernel falls to 1.4e-13 (rho = 0, s = +-4): a tail
+    # target of 1e-9 times that lies under the series' round-off floor
+    code = main(["heat-equiv", "--fast", "--t", "0.1,0.2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("hlab: numerical failure: round-off floor")
+    assert err.count("\n") == 1
+
+
 # The console script exists only once the package is installed; look in
 # the interpreter's scripts directory as well as on PATH.
 HLAB_SCRIPT = (shutil.which("hlab")

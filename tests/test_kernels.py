@@ -1,6 +1,7 @@
 """Flow kernels: strip quadrature, series route, constants, batching."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,62 @@ def test_heat_kernel_two_routes_on_frozen_points():
         assert g.value.real == pytest.approx(want, abs=5e-11)
         assert sr.value.real == pytest.approx(want, abs=5e-11)
         assert abs(g.value - sr.value) / abs(g.value) < 1e-8
+
+
+def test_series_stops_within_1024_terms_on_frozen_points():
+    budget = TruncationBudget(max_terms=50000, tail_tolerance=1e-11)
+    for t, rho, s, _ in _HEAT_POINTS:
+        sr = heat_kernel_series(KernelQuery(t_or_z=t, rho=rho, s=s), budget)
+        assert sr.truncation_point <= 1024
+        assert sr.quad_error <= 1e-11
+
+
+def test_series_error_covers_its_round_off_floor():
+    # the terms cancel here: sum |terms| is about 5e5 times |sum terms|
+    t, rho, s = 0.5, 30.0, -10.0
+    sr = heat_kernel_series(KernelQuery(t_or_z=t, rho=rho, s=s),
+                            TruncationBudget(100000, 1e-12))
+    terms = 2.0 * np.real(series_term_closed(
+        1, t, rho, s, np.arange(int(sr.truncation_point))))
+    assert np.sum(np.abs(terms)) > 1e5 * abs(np.sum(terms))
+    assert sr.quad_error >= 1e-16 * np.sum(np.abs(terms)) / math.pi ** 2
+    # at tol 1e-16 Gaveau's own error is as large as the series err; at
+    # 1e-19 it is a reference well below it
+    g = heat_kernel_gaveau(KernelQuery(t_or_z=t, rho=rho, s=s, tol=1e-19))
+    assert g.quad_error < 0.5 * sr.quad_error
+    assert abs(sr.value - g.value) <= sr.quad_error
+
+
+def test_series_past_the_tail_start_guard():
+    # rho / (4 t) = 300 > 256, so the tail starts at 512 terms.  The
+    # kernel here (about 2.5e-132) lies far below the terms' round-off;
+    # this checks the tail against a long direct sum of the same terms.
+    t, rho, s = 0.1, 120.0, 3.0
+    sr = heat_kernel_series(KernelQuery(t_or_z=t, rho=rho, s=s),
+                            TruncationBudget(100000, 1e-12))
+    assert sr.truncation_point == 512
+    assert math.isfinite(sr.value.real) and sr.value.imag == 0.0
+    terms = 2.0 * np.real(series_term_closed(1, t, rho, s, np.arange(1 << 18)))
+    direct = math.fsum(terms) / math.pi ** 2
+    assert abs(sr.value.real - direct) <= sr.quad_error
+
+
+def test_heat_kernel_where_the_integrand_underflows():
+    # rate = 2 + rho / (2 t) puts exp(rate * 16) past the float range at
+    # the tau = 16 envelope probe, where the integrand is already 0.
+    # References: a 40-digit quadrature of the same integral.
+    refs = {20.0: 1.1394441386487203728e-23,
+            100.0: 1.3669837874666741925e-110}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (20.0, 40.0, 60.0, 80.0, 100.0):
+            g = heat_kernel_gaveau(KernelQuery(t_or_z=0.1, rho=rho, s=3.0))
+            assert 0.0 < g.value.real < 1e-20
+            if rho in refs:
+                assert abs(g.value - refs[rho]) <= g.quad_error
+        tight = heat_kernel_gaveau(
+            KernelQuery(t_or_z=0.1, rho=20.0, s=3.0, tol=1e-30))
+    assert tight.value.real == pytest.approx(refs[20.0], rel=1e-12)
 
 
 def test_heat_kernel_origin_value():

@@ -2,6 +2,7 @@
 gauge-ball norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ def test_exponential_tail_needs_a_rate():
     with pytest.raises(ValueError):
         integrate_exponential_tail(
             Integrand1D(np.exp, envelope_rate=1.0), -1.0)
+
+
+def test_exponential_tail_probe_where_the_integrand_underflows():
+    # at tau = 16 the probe pairs f = 0 (underflowed) with exp(960) = inf
+    integrand = Integrand1D(lambda tau: np.exp(-60.0 * np.abs(tau)), 60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, err, _ = integrate_exponential_tail(integrand, 1e-12)
+    assert abs(val - 1.0 / 30.0) <= err <= 1e-12
+    nowhere = Integrand1D(lambda tau: np.full(np.shape(tau), np.nan), 1.0)
+    with pytest.raises(QuadratureError):
+        integrate_exponential_tail(nowhere, 1e-8)
 
 
 def test_grid_spec_validation():
