@@ -270,7 +270,10 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     # exp(-|lambda| rho) stops suppressing the tail; 40 was the smallest
     # cutoff that kept the worst sampled point under half the tolerance.
     # The node count tracks the evolution phase 4 t lambda (2 ell + d),
-    # which needs a few points per radian at the top line.
+    # which needs a few points per radian at the top line.  Only the
+    # evolution and the synthesis need that many: the coefficients are
+    # smooth in lambda, and analyze takes them on its panel rule in |lambda|
+    # (960 nodes at R0 = 1) and interpolates.
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, n_lam, 1)
     gn, wn = single_sign_lambda_grid(5e-4, 40.0, n_lam, -1)
     lam_grid = np.concatenate([gn, gp])
@@ -278,6 +281,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     coef = analyze(u0, ell_max=ell_max, lambda_grid=lam_grid,
                    lambda_weights=lam_w, n_rho=225, n_s=193)
     coef_t = evolve_schrodinger(coef, t)
+    del coef        # the synthesis reads coef_t only
 
     rows = []
     for i in picked:

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupPoint, product
-from .quadrature import gauss_panels, integrate_adaptive, simpson_rule
+from .quadrature import (_leggauss, gauss_panels, integrate_adaptive,
+                         simpson_rule)
 from .special import hermite_table, laguerre_sweep, laguerre_table
 
 
@@ -206,6 +207,19 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     part that is not identically zero is a real cosine (even) or sine (odd)
     transform on the s >= 0 half of the rule, taken at the distinct |lam|;
     the bump, real and even in s, has one part and real coefficients.
+
+    The profile is integrated over its declared supports only, so by
+    Paley-Wiener each part is entire in |lam|, of exponential type about
+    the supports, however fast the flows later make c oscillate.  A grid
+    of many distinct |lam| therefore takes the parts on a Gauss-Legendre
+    panel rule in |lam| (24 nodes per panel, panels 1 / max(support_rho,
+    support_s) wide, covering [0, max |lam|]) and interpolates them by
+    barycentric Lagrange per panel.  Each panel's interpolant is probed
+    against a direct evaluation at its top edge; while some ell's probe
+    exceeds 1e-13 of that ell's largest part value, the width is halved.
+    The rule is used only while it, with its probes, takes fewer
+    evaluations than the grid has distinct |lam|; otherwise every |lam|
+    is evaluated directly.
     """
     d = f.d
     if lambda_grid is None:
@@ -224,46 +238,71 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     half = n_s // 2
     sh, wh = s[half:], 2.0 * ws[half:]
     wh[0] /= 1 + n_s % 2
-    # (trig, factor of the part's transform in c, half table (n_half, n_rho))
+    # (trig, into the imaginary part of c?, factor of sign(lam) or 0,
+    # half table (n_half, n_rho)): exp(-i s lam) = cos - i sign(lam) sin
     parts = []
-    for unit, x in ((1.0, table.real), (1j, np.imag(table))):
+    for imag, x in ((False, table.real), (True, np.imag(table))):
         xh, xm = x[:, half:].T, x[:, (n_s - 1) // 2::-1].T
-        for trig, factor, mirror in ((np.cos, unit, xm),
-                                     (np.sin, -1j * unit * np.sign(lam), -xm)):
+        for trig, into, sign, mirror in (
+                (np.cos, imag, 0.0, xm),
+                (np.sin, not imag, 1.0 if imag else -1.0, -xm)):
             if not np.array_equal(xh, -mirror):     # else the part is 0
-                parts.append((trig, factor,
+                parts.append((trig, into, sign,
                               np.ascontiguousarray(0.5 * (xh + mirror))))
-    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
-    out = np.empty((len(parts), ell_max + 1, nodes.size))
-
-    # Streamed over |lam| blocks and the Laguerre sweep: the full
-    # (ell, lam, rho) table would not fit once ell_max or the grid grows.
-    # A lam-major block holds _FWD_CHUNK elements per part, so that it and
-    # the sweep's buffers stay in cache across every ell step; the rho sum
-    # is one row dot per lam.
     alpha = d - 1.0
     rad_w = wr * rho ** (d - 1)
     chunk = max(1, _FWD_CHUNK // max(1, n_rho))
-    for lo in range(0, nodes.size, chunk):
-        hi = min(lo + chunk, nodes.size)
-        lc = nodes[lo:hi]
-        trig = {fn: fn(np.outer(lc, sh)) * wh for fn in {p[0] for p in parts}}
-        wa = np.empty((len(parts), hi - lo, n_rho))
-        for p, (fn, _, tab) in enumerate(parts):
-            np.matmul(trig[fn], tab, out=wa[p])
-        wa *= np.exp(-np.outer(lc, rho)) * rad_w
-        x = 2.0 * np.outer(lc, rho)
-        for k, lk in enumerate(laguerre_sweep(ell_max, alpha, x)):
-            if k:
-                np.vecdot(wa, lk, out=out[:, k, lo:hi])
-            else:                                           # L_0 = 1
-                wa.sum(axis=-1, out=out[:, 0, lo:hi])
+
+    def transforms(at):
+        """The parts' transforms at the |lam| nodes `at`, shape
+        (len(parts), ell_max + 1, at.size)."""
+        out = np.empty((len(parts), ell_max + 1, at.size))
+        # Streamed over |lam| blocks and the Laguerre sweep: the full
+        # (ell, lam, rho) table would not fit once ell_max or the grid
+        # grows.  A lam-major block holds _FWD_CHUNK elements per part, so
+        # that it and the sweep's buffers stay in cache across every ell
+        # step; the rho sum is one row dot per lam.
+        for lo in range(0, at.size, chunk):
+            hi = min(lo + chunk, at.size)
+            lc = at[lo:hi]
+            trig = {fn: fn(np.outer(lc, sh)) * wh
+                    for fn in {p[0] for p in parts}}
+            wa = np.empty((len(parts), hi - lo, n_rho))
+            for p, (fn, _, _, tab) in enumerate(parts):
+                # einsum sums over s in one fixed order; a BLAS matrix
+                # product can round an edge column differently with the
+                # BLAS thread count
+                np.einsum("ls,sr->lr", trig[fn], tab, out=wa[p])
+            wa *= np.exp(-np.outer(lc, rho)) * rad_w
+            x = 2.0 * np.outer(lc, rho)
+            for k, lk in enumerate(laguerre_sweep(ell_max, alpha, x)):
+                if k:
+                    np.vecdot(wa, lk, out=out[:, k, lo:hi])
+                else:                                       # L_0 = 1
+                    wa.sum(axis=-1, out=out[:, 0, lo:hi])
+        return out
+
+    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    out = _on_panels(transforms, nodes,
+                     _PANEL_WIDTH / max(f.support_rho, f.support_s))
+    if out is None:
+        out = transforms(nodes)
     base = math.pi ** d / math.factorial(d - 1)
     out *= np.array([base / multiplicity(ell, d)
                      for ell in range(ell_max + 1)])[:, None]
+    # unfold onto the signed grid part by part, in place: each part adds
+    # its transform, times +-sign(lam) for a sine part, to the real or the
+    # imaginary component of c
     values = np.zeros((ell_max + 1, lam.size), dtype=complex)
-    for (_, factor, _), part in zip(parts, out):
-        values += factor * part[:, inv]
+    buf = np.empty(values.shape)
+    for (_, into, sign, _), part in zip(parts, out):
+        # mode="clip" writes straight into buf ("raise" buffers a copy);
+        # every index in inv is valid
+        np.take(part, inv, axis=1, out=buf, mode="clip")
+        if sign:
+            buf *= sign * np.sign(lam)
+        comp = values.imag if into else values.real
+        comp += buf
     return SpectralCoefficients(d=d, lambda_grid=lam,
                                 weights=np.asarray(lambda_weights, float),
                                 values=values)
@@ -271,6 +310,59 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
 
 _FWD_CHUNK = 16_384
 _INV_CHUNK = 8192
+_PANEL_NODES = 24
+_PANEL_WIDTH = 1.0      # panel width in |lam| times max(support_rho, support_s)
+_PANEL_PROBE = 1e-13
+
+
+def _on_panels(fn, nodes, width):
+    """fn(nodes) through a Gauss-Legendre panel rule in |lam|, or None.
+
+    fn maps ascending |lam| nodes to an array (part, ell, node).  The rule
+    covers [0, nodes[-1]] with panels at most `width` wide.  The width is
+    halved until the interpolant at every panel's top edge is within
+    _PANEL_PROBE of each ell's max |fn| of a direct evaluation there.
+    None once the rule and its probes would take no fewer evaluations
+    than nodes.size.
+    """
+    x, w = _leggauss(_PANEL_NODES)
+    bary = (-1.0) ** np.arange(_PANEL_NODES) * np.sqrt((1.0 - x * x) * w)
+    top_w = bary / (1.0 - x)                # barycentric terms at x = 1
+    top_w /= top_w.sum()
+    n_pan = max(1, math.ceil(nodes[-1] / width))
+    while (_PANEL_NODES + 1) * n_pan < nodes.size:
+        rule, _ = gauss_panels(0.0, nodes[-1], n_pan, _PANEL_NODES)
+        edges = np.linspace(0.0, nodes[-1], n_pan + 1)
+        vals = fn(np.concatenate([rule, edges[1:]]))
+        panel = vals[:, :, :rule.size].reshape(
+            vals.shape[:2] + (n_pan, _PANEL_NODES))
+        miss = np.abs(np.einsum("plkj,j->plk", panel, top_w)
+                      - vals[:, :, rule.size:]).max(axis=(0, 2))
+        if np.all(miss <= _PANEL_PROBE * np.abs(vals).max(axis=(0, 2))):
+            return _interpolate(panel, edges, x, bary, nodes)
+        n_pan *= 2
+    return None
+
+
+def _interpolate(panel, edges, x, bary, nodes):
+    """Barycentric Lagrange interpolation of panel values (part, ell,
+    panel, node) on the panels between `edges`, at ascending `nodes`."""
+    out = np.empty(panel.shape[:2] + (nodes.size,))
+    bounds = np.searchsorted(nodes, edges)
+    bounds[-1] = nodes.size
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        diff = (nodes[lo:hi, None] - mids[k]) / half - x
+        with np.errstate(divide="ignore"):
+            q = bary / diff
+        hit = diff == 0.0                       # a node of the rule itself
+        rows = hit.any(axis=1)
+        q[rows] = hit[rows]
+        q /= q.sum(axis=1, keepdims=True)
+        # a fixed-order sum over the panel's nodes, as in synthesize
+        np.einsum("plj,rj->plr", panel[:, :, k], q, out=out[:, :, lo:hi])
+    return out
 
 
 def synthesize(c: SpectralCoefficients, rho, s) -> np.ndarray:

@@ -18,6 +18,7 @@ from hlab.fourier import (FrequencyPoint, RadialFunction,
                           synthesize, vertical_translate, wigner_general_d1,
                           wigner_radial, sublaplacian_fd)
 from hlab.group import GroupPoint
+from hlab.quadrature import gauss_panels
 from hlab.special import laguerre
 
 
@@ -116,41 +117,47 @@ def test_analyze_matches_single_point_quadrature():
 
 def _analyze_reference(f, ell_max, grid, n_rho, n_s):
     """Forward coefficients by a plain loop over lam and ell, one call of
-    `laguerre` per degree instead of the sweep."""
+    `laguerre` per degree instead of the sweep, and the round-off floor of
+    each: (ell + 1) eps times the sum of the terms' bounds, from
+    |L_ell^(d-1)(x)| <= C(ell + d - 1, ell) exp(x / 2)."""
     d = f.d
     xr, wr = np.polynomial.legendre.leggauss(n_rho)
     rho, wr = 0.5 * f.support_rho * (xr + 1.0), 0.5 * f.support_rho * wr
     xs, ws = np.polynomial.legendre.leggauss(n_s)
     s, ws = f.support_s * xs, f.support_s * ws
     table = f.profile(rho[:, None], s[None, :])
+    base = math.pi ** d / math.factorial(d - 1)
     out = np.empty((ell_max + 1, grid.size), dtype=complex)
+    floor = np.empty(out.shape)
     for j, lam in enumerate(grid):
         a = abs(lam)
         vert = table @ (ws * np.exp(-1j * s * lam))
         weight = wr * rho ** (d - 1) * np.exp(-a * rho) * vert
+        mass = base * np.sum(np.abs(wr * rho ** (d - 1) * vert))
         for ell in range(ell_max + 1):
             lag = laguerre(ell, d - 1.0, 2.0 * a * rho)
-            out[ell, j] = (math.pi ** d / math.factorial(d - 1)
-                           / multiplicity(ell, d) * np.sum(weight * lag))
-    return out
+            out[ell, j] = base / multiplicity(ell, d) * np.sum(weight * lag)
+            floor[ell, j] = (ell + 1) * np.finfo(float).eps * mass
+    return out, floor
 
 
-@pytest.mark.parametrize("one_column", [False, True])
-@pytest.mark.parametrize("case", [1, 2, "shifted", "odd", "complex"])
-def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
-    # 1 and 2: the bump at that d, even in s: the cosine part alone.
-    # "shifted": real but neither even nor odd in s, a cosine and a sine
-    # part.  "odd": s times the bump, the sine part alone.  "complex":
-    # (1 + i/2) times the bump, cosine parts of the real and imaginary
-    # components; its c(ell, -lam) is not conj c(ell, lam).
+def _profile_case(case, n_per_sign):
+    """(profile, lam grid, weights) of one plain-loop case.
+
+    1 and 2: the bump at that d, even in s: the cosine part alone.
+    "shifted": real but neither even nor odd in s, a cosine and a sine
+    part.  "odd": s times the bump, the sine part alone.  "complex":
+    (1 + i/2) times the bump, cosine parts of the real and imaginary
+    components; its c(ell, -lam) is not conj c(ell, lam).
+    """
     bump = bump_profile(1.1)
-    grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=7)
+    grid, w = default_lambda_grid(0.05, 9.0, n_per_sign=n_per_sign)
     if case == 1:
         f = bump
     elif case == 2:
         f = RadialFunction(profile=bump.profile, support_rho=bump.support_rho,
                            support_s=bump.support_s, d=2)
-        grid, w = single_sign_lambda_grid(0.2, 6.0, 13)
+        grid, w = single_sign_lambda_grid(0.2, 6.0, 2 * n_per_sign - 1)
     elif case == "shifted":
         f = RadialFunction(profile=lambda rho, s: bump.profile(rho, s - 0.4),
                            support_rho=bump.support_rho,
@@ -163,15 +170,118 @@ def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
         f = RadialFunction(
             profile=lambda rho, s: (1.0 + 0.5j) * bump.profile(rho, s),
             support_rho=bump.support_rho, support_s=bump.support_s)
+    return f, grid, w
+
+
+_CASES = [1, 2, "shifted", "odd", "complex"]
+
+
+@pytest.mark.parametrize("one_column", [False, True])
+@pytest.mark.parametrize("case", _CASES)
+def test_analyze_matches_plain_loop(case, one_column, monkeypatch):
+    f, grid, w = _profile_case(case, 7)
     if one_column:
         monkeypatch.setattr(fourier, "_FWD_CHUNK", 1)
     c = analyze(f, ell_max=6, lambda_grid=grid, lambda_weights=w,
                 n_rho=16, n_s=24)
-    want = _analyze_reference(f, 6, grid, 16, 24)
+    want, _ = _analyze_reference(f, 6, grid, 16, 24)
     # the odd case has an entry 2e3 times below the largest, where both
     # routes sit about 1e-13 of it from an extended-precision sum
     atol = 1e-15 * np.max(np.abs(want)) if case == "odd" else 0.0
     np.testing.assert_allclose(c.values, want, rtol=1e-13, atol=atol)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of fourier.<name>."""
+    calls = []
+    real = getattr(fourier, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fourier, name, spy)
+    return calls
+
+
+def _within_per_ell(got, want, bound):
+    """Every |got - want| within `bound` of its ell's max |want|."""
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    return bool(np.all(np.abs(got - want) <= bound * scale))
+
+
+@pytest.mark.parametrize("ell_max", [6, 64])
+@pytest.mark.parametrize("case", _CASES)
+def test_analyze_on_panels_matches_plain_loop(case, ell_max, monkeypatch):
+    # about 1200 lam: the panel rule in |lam| has 8 to 15 panels, so the
+    # coefficients are interpolated; the plain loop checks every 13th
+    # column and the last.  At ell_max = 64 the round-off floor of both
+    # routes reaches 1e-13 to 3.5e-13 of max |c| at the top ell (against an
+    # extended-precision sum), and the odd profile's probe sits on it, so
+    # there the rule may give way to the direct sweep.
+    f, grid, w = _profile_case(case, 601)
+    panels = _spy(monkeypatch, "_interpolate")
+    c = analyze(f, ell_max=ell_max, lambda_grid=grid, lambda_weights=w,
+                n_rho=16, n_s=24)
+    assert len(panels) == 1 or (case, ell_max) == ("odd", 64)
+    cols = np.r_[np.arange(0, grid.size, 13), grid.size - 1]
+    want, floor = _analyze_reference(f, ell_max, grid[cols], 16, 24)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(c.values[:, cols] - want) <= 1e-13 * scale + floor)
+
+
+def test_panel_probe_halves_a_rule_too_wide(monkeypatch):
+    # twice the width: 20 panels on |lam| <= 40 miss the probe bound at
+    # ell_max = 48, and the rule is refined to 40 panels
+    f = bump_profile(1.0)
+    grid, w = single_sign_lambda_grid(5e-4, 40.0, 4001)
+    kw = dict(ell_max=48, lambda_grid=grid, lambda_weights=w, n_rho=64,
+              n_s=65)
+    monkeypatch.setattr(fourier, "_PANEL_WIDTH", 2.0 * fourier._PANEL_WIDTH)
+    panels = _spy(monkeypatch, "_interpolate")
+    c = analyze(f, **kw)
+    assert [edges.size - 1 for _, edges, *_ in panels] == [40]
+    monkeypatch.setattr(fourier, "_PANEL_PROBE", math.inf)
+    unprobed = analyze(f, **kw)
+    assert [edges.size - 1 for _, edges, *_ in panels[1:]] == [20]
+    monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
+    direct = analyze(f, **kw)
+    assert _within_per_ell(c.values, direct.values, 1e-13)
+    assert not _within_per_ell(unprobed.values, direct.values, 1e-13)
+
+
+def test_panel_rule_at_its_own_nodes(monkeypatch):
+    # a grid that holds the rule's own nodes: the barycentric terms divide
+    # by zero there, and the interpolant must return the node's value
+    f = bump_profile(1.0)
+    rule, _ = gauss_panels(0.0, 40.0, 40, 24)
+    grid = np.unique(np.r_[rule, np.linspace(0.01, 40.0, 3000)])
+    kw = dict(ell_max=8, lambda_grid=grid, lambda_weights=np.ones(grid.size),
+              n_rho=32, n_s=33)
+    panels = _spy(monkeypatch, "_interpolate")
+    c = analyze(f, **kw)
+    assert len(panels) == 1
+    monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
+    assert _within_per_ell(c.values, analyze(f, **kw).values, 1e-13)
+
+
+def test_small_grids_take_the_direct_route(monkeypatch):
+    # bump supports 1, |lam| <= 50: 50 panels and their probes take 1250
+    # evaluations, so 1251 distinct |lam| take the rule and 1249 do not;
+    # nor do the 400 of the default grid, which come out bit for bit as on
+    # the direct route
+    f = bump_profile(1.0)
+    panels = _spy(monkeypatch, "_interpolate")
+    for n in (1251, 1249):
+        grid, w = single_sign_lambda_grid(1e-3, 50.0, n)
+        analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w, n_rho=32,
+                n_s=33)
+    grid, w = default_lambda_grid()
+    c = analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w)
+    assert [nodes.size for *_, nodes in panels] == [1251]
+    monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
+    direct = analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w)
+    assert c.values.tobytes() == direct.values.tobytes()
 
 
 def test_real_data_has_hermitian_coefficients():
@@ -200,9 +310,9 @@ def test_analyze_of_zero_data_is_zero():
 
 _THREADS_SCRIPT = """
 import hashlib, numpy as np
-from hlab.fourier import (analyze, bump_profile, evolve_schrodinger,
-                          single_sign_lambda_grid, spectral_norm_sq,
-                          synthesize)
+from hlab.fourier import (RadialFunction, analyze, bump_profile,
+                          evolve_schrodinger, single_sign_lambda_grid,
+                          spectral_norm_sq, synthesize)
 gp, wp = single_sign_lambda_grid(5e-4, 40.0, 20001, 1)
 grid = np.concatenate([-gp[::-1], gp])
 w = np.concatenate([wp[::-1], wp])
@@ -212,6 +322,14 @@ c = evolve_schrodinger(c, 2.5)
 vals = [synthesize(c, r, s) for r, s in ((0.0, 0.0), (0.3, -0.7), (1.1, 2.0))]
 vals.append(spectral_norm_sq(c))
 data = c.values.tobytes() + np.array(vals).tobytes()
+# nonzero at the last rho node, where the bump vanishes, on the panel rule
+# and (801 lam) on the direct route, at kernel-consistency's rule shape
+edge = RadialFunction(
+    profile=lambda rho, s: np.exp(-rho - s * s) + np.cos(7.0 * rho + 3.0 * s),
+    support_rho=1.0, support_s=1.0)
+for g, wg in ((grid, w), (grid[::50], w[::50])):
+    data += analyze(edge, ell_max=4, lambda_grid=g, lambda_weights=wg,
+                    n_rho=225, n_s=193).values.tobytes()
 print(hashlib.sha256(data).hexdigest())
 """
 
