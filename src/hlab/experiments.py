@@ -271,23 +271,24 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     # cutoff that kept the worst sampled point under half the tolerance.
     # The node count tracks the evolution phase 4 t lambda (2 ell + d),
     # which needs a few points per radian at the top line.  Only the
-    # evolution and the synthesis need that many: the coefficients are
-    # smooth in lambda, and analyze takes them on its panel rule in |lambda|
-    # (960 nodes at R0 = 1) and interpolates.
+    # synthesis, which applies that phase, needs that many: the
+    # coefficients are smooth in lambda, and analyze takes them on its panel
+    # rule in |lambda| (960 nodes at R0 = 1) and interpolates.  One
+    # synthesis call evolves and sums all picked points over the 32501
+    # distinct |lambda|.
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, n_lam, 1)
     gn, wn = single_sign_lambda_grid(5e-4, 40.0, n_lam, -1)
     lam_grid = np.concatenate([gn, gp])
     lam_w = np.concatenate([wn, wp])
     coef = analyze(u0, ell_max=ell_max, lambda_grid=lam_grid,
                    lambda_weights=lam_w, n_rho=225, n_s=193)
-    coef_t = evolve_schrodinger(coef, t)
-    del coef        # the synthesis reads coef_t only
+    spec = synthesize(coef, [float(cand[i].horizontal_sq()) for i in picked],
+                      [cand[i].s for i in picked], t)
 
     rows = []
-    for i in picked:
+    for i, spec_v in zip(picked, spec):
         w = cand[i]
-        rho = float(w.horizontal_sq())
-        spec_v = complex(synthesize(coef_t, rho, w.s))
+        spec_v = complex(spec_v)
         cv = complex(conv_vals[i])
         rel = abs(spec_v - cv) / max(abs(cv), 1e-300)
         rows.append(("evolve", float(w.y[0]), float(w.eta[0]), w.s,
@@ -510,17 +511,16 @@ def run_concentrate(cfg: ExperimentConfig) -> ExperimentReport:
                              err, tol, err <= tol))
 
     # transport of the ell=0 line: the evolved solution equals the initial
-    # data read at a vertically shifted point.  One side runs the whole
-    # analyze-evolve-synthesize chain, the other is direct quadrature of
+    # data read at a vertically shifted point.  One side evolves the exact
+    # coefficients and synthesizes them, the other is direct quadrature of
     # the profile, so the routes share nothing past the band density.
     data0 = LineData(ell=0, lambda_sign=1, d=d)
     coef = data0.spectral_coefficients(n=1025 if cfg.fast else 2049)
-    coef_t = evolve_schrodinger(coef, t)
     drift = data0.drift(t)
     n_pts = 20
     rho_pts = rng.uniform(0.0, 3.0, n_pts)
     s_pts = rng.uniform(-8.0, 8.0, n_pts)
-    a = synthesize(coef_t, rho_pts, s_pts)
+    a = synthesize(coef, rho_pts, s_pts, t)
     b = data0.value(0.0, rho_pts, s_pts + drift)
     scale = float(np.max(np.abs(b)))
     for i in range(n_pts):

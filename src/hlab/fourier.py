@@ -7,6 +7,14 @@ The forward transform pairs a radial profile f(rho, s) against that block
 and a vertical character; the inverse sums the same blocks against the
 Plancherel weight |lam|^d.  The sublaplacian acts diagonally with symbol
 4 |lam| (2 ell + d).
+
+Only the vertical character exp(i s lam) tells lam from -lam, so both
+directions work on the distinct |lam|: analyze takes real cosine and sine
+transforms there and unfolds them onto the signed grid, and synthesize
+folds each coefficient row into an even and an odd row there, applies the
+unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them and sums both
+against one Laguerre sweep.  Every real part that is identically zero is
+skipped on either side.
 """
 
 from __future__ import annotations
@@ -216,7 +224,9 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     support_s) wide, covering [0, max |lam|]) and interpolates them by
     barycentric Lagrange per panel.  Each panel's interpolant is probed
     against a direct evaluation at its top edge; while some ell's probe
-    exceeds 1e-13 of that ell's largest part value, the width is halved.
+    exceeds 1e-13 of that ell's largest part value plus the part's
+    round-off floor, (ell + 1) eps C(ell + d - 1, ell) times the sum of
+    |weights * part table|, the width is halved.
     The rule is used only while it, with its probes, takes fewer
     evaluations than the grid has distinct |lam|; otherwise every |lam|
     is evaluated directly.
@@ -283,8 +293,16 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
         return out
 
     nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    # each part's round-off floor at degree ell: (ell + 1) eps times the
+    # sum of its terms' bounds, exp(-x / 2) |L_ell^(d-1)(x)| being at most
+    # C(ell + d - 1, ell)
+    bounds = np.array([np.einsum("s,sr,r->", wh, np.abs(p[3]), rad_w)
+                       for p in parts])
+    floor = np.outer(bounds, [(ell + 1) * multiplicity(ell, d)
+                              for ell in range(ell_max + 1)])
+    floor *= np.finfo(float).eps
     out = _on_panels(transforms, nodes,
-                     _PANEL_WIDTH / max(f.support_rho, f.support_s))
+                     _PANEL_WIDTH / max(f.support_rho, f.support_s), floor)
     if out is None:
         out = transforms(nodes)
     base = math.pi ** d / math.factorial(d - 1)
@@ -309,19 +327,20 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
 
 
 _FWD_CHUNK = 16_384
-_INV_CHUNK = 8192
+_INV_CHUNK = 32_768     # (points x distinct |lam|) elements per synthesis block
 _PANEL_NODES = 24
 _PANEL_WIDTH = 1.0      # panel width in |lam| times max(support_rho, support_s)
 _PANEL_PROBE = 1e-13
 
 
-def _on_panels(fn, nodes, width):
+def _on_panels(fn, nodes, width, floor):
     """fn(nodes) through a Gauss-Legendre panel rule in |lam|, or None.
 
-    fn maps ascending |lam| nodes to an array (part, ell, node).  The rule
-    covers [0, nodes[-1]] with panels at most `width` wide.  The width is
-    halved until the interpolant at every panel's top edge is within
-    _PANEL_PROBE of each ell's max |fn| of a direct evaluation there.
+    fn maps ascending |lam| nodes to an array (part, ell, node), and
+    floor (part, ell) bounds its round-off.  The rule covers
+    [0, nodes[-1]] with panels at most `width` wide.  The width is halved
+    until the interpolant at every panel's top edge is within _PANEL_PROBE
+    of each ell's max |fn|, plus the floor, of a direct evaluation there.
     None once the rule and its probes would take no fewer evaluations
     than nodes.size.
     """
@@ -337,8 +356,9 @@ def _on_panels(fn, nodes, width):
         panel = vals[:, :, :rule.size].reshape(
             vals.shape[:2] + (n_pan, _PANEL_NODES))
         miss = np.abs(np.einsum("plkj,j->plk", panel, top_w)
-                      - vals[:, :, rule.size:]).max(axis=(0, 2))
-        if np.all(miss <= _PANEL_PROBE * np.abs(vals).max(axis=(0, 2))):
+                      - vals[:, :, rule.size:]).max(axis=2)
+        if np.all(miss <= _PANEL_PROBE * np.abs(vals).max(axis=(0, 2))
+                  + floor):
             return _interpolate(panel, edges, x, bary, nodes)
         n_pan *= 2
     return None
@@ -365,12 +385,23 @@ def _interpolate(panel, edges, x, bary, nodes):
     return out
 
 
-def synthesize(c: SpectralCoefficients, rho, s) -> np.ndarray:
-    """Inverse transform at points (rho, s), broadcast together.
+def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
+    """Inverse transform of the flow's u(t) at points (rho, s), broadcast
+    together: synthesize(evolve_schrodinger(c, t), rho, s) in one pass.
 
-    f(rho, s) = (2^(d-1) / pi^(d+1)) sum over ell of
-                integral exp(i s lam) wigner_radial(ell, lam, rho)
-                c(ell, lam) |lam|^d d(lam).
+    u(t, rho, s) = (2^(d-1) / pi^(d+1)) sum over ell of
+                   integral exp(i s lam) wigner_radial(ell, lam, rho)
+                   exp(4 i t |lam| (2 ell + d)) c(ell, lam) |lam|^d d(lam).
+
+    Everything but exp(i s lam) = cos(s |lam|) + i sign(lam) sin(s |lam|)
+    depends on |lam| only, so each ell row is folded onto the distinct
+    |lam|: an even row E = w+ c+ + w- c- and an odd row O = w+ c+ - w- c-,
+    with w the weight times |lam|^d and a sign missing from the grid
+    counted as 0.  Both rows take the flow's phase.  Each real component
+    of E and O that is not identically zero is summed over ell against
+    one Laguerre sweep over (points, distinct |lam|); the bump on a
+    mirrored grid has O = 0 exactly and skips it.  The |lam| sum against
+    exp(-|lam| rho) cos(s |lam|) (E) and sin(s |lam|) (O) closes it.
     """
     d = c.d
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, dtype=float),
@@ -381,26 +412,68 @@ def synthesize(c: SpectralCoefficients, rho, s) -> np.ndarray:
     if np.any(rho_f < 0.0):
         raise ValueError("rho must be nonnegative")
     lam = c.lambda_grid
-    alam = np.abs(lam)
-    wl = c.weights * alam ** d
+    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    wl = c.weights * np.abs(lam) ** d
+    n_neg = int(np.count_nonzero(lam < 0.0))      # lam is sorted
+    beta = 4.0 * float(t) * nodes
+    phase = np.empty(nodes.size, dtype=complex)
+    # parts[(odd?, imaginary?)]: the rows of one real component, allocated
+    # at its first nonzero row, so a component that is identically zero
+    # costs neither memory nor sweep time
+    parts = {}
+    for ell, row in enumerate(c.values):
+        wc = row * wl
+        plus = np.zeros(nodes.size, dtype=complex)
+        minus = np.zeros(nodes.size, dtype=complex)
+        minus[inv[:n_neg]] = wc[:n_neg]
+        plus[inv[n_neg:]] = wc[n_neg:]
+        # exp(i angle) by the real cosine and sine, which numpy vectorizes
+        angle = beta * (2 * ell + d)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        for odd, folded in ((False, plus + minus), (True, plus - minus)):
+            if not np.any(folded):
+                continue
+            folded *= phase
+            for imag, comp in ((False, folded.real), (True, folded.imag)):
+                if (odd, imag) in parts:
+                    parts[odd, imag][ell] = comp
+                elif np.any(comp):
+                    parts[odd, imag] = np.zeros((c.ell_max + 1, nodes.size))
+                    parts[odd, imag][ell] = comp
+    keys = sorted(parts)
     const = 2.0 ** (d - 1) / math.pi ** (d + 1)
-    out = np.empty(rho_f.size, dtype=complex)
-    alpha = d - 1.0
-    for lo in range(0, rho_f.size, _INV_CHUNK):
-        hi = min(lo + _INV_CHUNK, rho_f.size)
-        x = 2.0 * np.outer(rho_f[lo:hi], alam)          # (n, J)
-        damp = np.exp(-np.outer(rho_f[lo:hi], alam))
-        acc = c.values[0][None, :] * damp                # L_0 = 1
-        term = np.empty_like(acc)
-        for k, lk in enumerate(laguerre_sweep(c.ell_max, alpha, x)):
-            if k:
-                np.multiply(c.values[k][None, :], damp, out=term)
-                term *= lk
-                acc += term
-        phase = np.exp(1j * np.outer(s_f[lo:hi], lam))
-        # einsum sums over lam in one fixed order; a BLAS matrix-vector
-        # product would round differently with the BLAS thread count
-        out[lo:hi] = const * np.einsum("ij,j->i", acc * phase, wl)
+    out = np.zeros(rho_f.size, dtype=complex)
+    rows = max(1, _INV_CHUNK // nodes.size)
+    for lo in range(0, rho_f.size, rows):
+        hi = min(lo + rows, rho_f.size)
+        x = 2.0 * np.outer(rho_f[lo:hi], nodes)            # (points, |lam|)
+        acc = np.empty((len(keys),) + x.shape)
+        term = np.empty(x.shape)
+        for ell, lk in enumerate(laguerre_sweep(c.ell_max, d - 1.0, x)):
+            for p, key in enumerate(keys):
+                if ell:
+                    np.multiply(lk, parts[key][ell], out=term)
+                    acc[p] += term
+                else:                                       # L_0 = 1
+                    acc[p] = parts[key][0]
+        damp = np.exp(-0.5 * x)                         # exp(-rho |lam|)
+        arg = np.outer(s_f[lo:hi], nodes)
+        trig = {odd: damp * (np.sin(arg) if odd else np.cos(arg))
+                for odd in {odd for odd, _ in keys}}
+        for p, (odd, imag) in enumerate(keys):
+            # einsum sums over |lam| in one fixed order; a BLAS product
+            # would round differently with the BLAS thread count
+            part = np.einsum("ij,ij->i", trig[odd], acc[p])
+            # i sin(s |lam|) times the odd row: O.re into the imaginary
+            # component, O.im into the real one with a minus sign
+            if odd and imag:
+                out.real[lo:hi] -= part
+            elif odd or imag:
+                out.imag[lo:hi] += part
+            else:
+                out.real[lo:hi] += part
+    out *= const
     return out.reshape(shape)
 
 

@@ -12,7 +12,7 @@ Two families of initial data:
     (dispersive decay experiments).
 
 Each solution can be computed three ways: the exact integral (value), the
-grid transform route (spectral_coefficients + evolve + synthesize), and
+grid transform route (spectral_coefficients, then synthesize at time t), and
 group convolution of the initial data against the flow kernel.
 
 The convolution sums over tau nodes and a Simpson rule in (|Y_v|^2, s_v)
@@ -144,13 +144,16 @@ class LineData:
         chunk = 2048
         for lo in range(0, rho_f.size, chunk):
             hi = min(lo + chunk, rho_f.size)
-            x = 2.0 * np.outer(rho_f[lo:hi], mu)
+            # the damping and the Laguerre row depend on rho only: once per
+            # distinct rho (hyperplane_decay_exponent passes one for all)
+            rho_u, inv = np.unique(rho_f[lo:hi], return_inverse=True)
+            x = 2.0 * np.outer(rho_u, mu)
             lag = laguerre_table(self.ell, self.d - 1.0, x)[self.ell]
-            damp = np.exp(-np.outer(rho_f[lo:hi], mu))
+            damp = np.exp(-np.outer(rho_u, mu))
             phase = np.exp(1j * np.outer(omega[lo:hi], mu))
-            out[lo:hi] = (phase * damp * lag) @ gv
+            out[lo:hi] = (phase * damp[inv] * lag[inv]) @ gv
             # gv >= 0, damp > 0 and |phase| = 1
-            abs_sum[lo:hi] = (damp * np.abs(lag)) @ gv
+            abs_sum[lo:hi] = ((damp * np.abs(lag)) @ gv)[inv]
         floor = np.finfo(float).eps * mu.size * abs_sum
         out = out.reshape(shape)
         floor = floor.reshape(shape)

@@ -19,6 +19,7 @@ from hlab.fourier import (FrequencyPoint, RadialFunction,
                           wigner_radial, sublaplacian_fd)
 from hlab.group import GroupPoint
 from hlab.quadrature import gauss_panels
+from hlab.solutions import LineData
 from hlab.special import laguerre
 
 
@@ -217,13 +218,13 @@ def test_analyze_on_panels_matches_plain_loop(case, ell_max, monkeypatch):
     # coefficients are interpolated; the plain loop checks every 13th
     # column and the last.  At ell_max = 64 the round-off floor of both
     # routes reaches 1e-13 to 3.5e-13 of max |c| at the top ell (against an
-    # extended-precision sum), and the odd profile's probe sits on it, so
-    # there the rule may give way to the direct sweep.
+    # extended-precision sum); the probe allows for that floor, so every
+    # case keeps the rule.
     f, grid, w = _profile_case(case, 601)
     panels = _spy(monkeypatch, "_interpolate")
     c = analyze(f, ell_max=ell_max, lambda_grid=grid, lambda_weights=w,
                 n_rho=16, n_s=24)
-    assert len(panels) == 1 or (case, ell_max) == ("odd", 64)
+    assert len(panels) == 1
     cols = np.r_[np.arange(0, grid.size, 13), grid.size - 1]
     want, floor = _analyze_reference(f, ell_max, grid[cols], 16, 24)
     scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -318,10 +319,15 @@ grid = np.concatenate([-gp[::-1], gp])
 w = np.concatenate([wp[::-1], wp])
 c = analyze(bump_profile(1.0), ell_max=4, lambda_grid=grid, lambda_weights=w,
             n_rho=64, n_s=65)
+# the fused call kernel-consistency makes: ten points evolved and summed at
+# once; then the evolve-then-synthesize chain, one point at a time
+rho = np.linspace(0.0, 2.7, 10)
+s = np.linspace(-3.0, 2.0, 10)
+data = synthesize(c, rho, s, 2.5).tobytes()
 c = evolve_schrodinger(c, 2.5)
 vals = [synthesize(c, r, s) for r, s in ((0.0, 0.0), (0.3, -0.7), (1.1, 2.0))]
 vals.append(spectral_norm_sq(c))
-data = c.values.tobytes() + np.array(vals).tobytes()
+data += c.values.tobytes() + np.array(vals).tobytes()
 # nonzero at the last rho node, where the bump vanishes, on the panel rule
 # and (801 lam) on the direct route, at kernel-consistency's rule shape
 edge = RadialFunction(
@@ -335,7 +341,8 @@ print(hashlib.sha256(data).hexdigest())
 
 
 def test_transform_bits_do_not_depend_on_blas_threads():
-    # one-point syntheses over a wide lam grid, as kernel-consistency does
+    # syntheses over a wide lam grid: the fused multi-point call that
+    # kernel-consistency makes, and the evolve-then-synthesize chain
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(fourier.__file__))]
@@ -433,6 +440,61 @@ def test_vertical_translate_shifts_synthesis():
     a = synthesize(vertical_translate(c, s0), rho, s)
     b = synthesize(c, rho, s - s0)
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def _synthesize_reference(c, rho, s, t):
+    """u(t) at each point by a plain loop over the signed lam of
+    evolve_schrodinger(c, t), one point and one `laguerre` call per degree
+    at a time, and the sum of the moduli of its terms."""
+    ev = evolve_schrodinger(c, t)
+    lam = ev.lambda_grid
+    a = np.abs(lam)
+    wl = ev.weights * a ** c.d * 2.0 ** (c.d - 1) / math.pi ** (c.d + 1)
+    out = np.empty(len(rho), dtype=complex)
+    mass = np.zeros(len(rho))
+    for i, (r, x) in enumerate(zip(rho, s)):
+        acc = 0.0
+        for ell in range(c.ell_max + 1):
+            terms = (ev.values[ell] * wl * np.exp(-a * r)
+                     * laguerre(ell, c.d - 1.0, 2.0 * a * r)
+                     * np.exp(1j * x * lam))
+            acc += np.sum(terms)
+            mass[i] += np.sum(np.abs(terms))
+        out[i] = acc
+    return out, mass
+
+
+def _synthesis_case(case):
+    """Coefficients of one synthesis case: the plain-loop profiles on
+    their grids (1: the bump, odd row exactly 0; "shifted" and "complex":
+    every component; 2: d = 2 on one sign), a grid on which some |lam|
+    has one sign only, and a LineData line (one sign, real rows)."""
+    if case == "line":
+        return LineData(ell=2, lambda_sign=-1, band=(0.6, 3.1)
+                        ).spectral_coefficients(n=129)
+    f, grid, w = _profile_case("shifted" if case == "one-sided" else case, 60)
+    if case == "one-sided":
+        keep = (grid > 0.0) | (np.arange(grid.size) % 3 != 0)
+        grid, w = grid[keep], w[keep]
+    return analyze(f, ell_max=6, lambda_grid=grid, lambda_weights=w,
+                   n_rho=16, n_s=24)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7])
+@pytest.mark.parametrize("case", [1, 2, "shifted", "complex", "one-sided",
+                                  "line"])
+def test_synthesize_matches_plain_loop(case, t, monkeypatch):
+    c = _synthesis_case(case)
+    rho = np.array([0.0, 0.3, 1.1, 2.5, 0.05, 4.0, 0.7])
+    s = np.array([0.0, -0.7, 2.0, -3.1, 5.5, 0.4, -1.9])
+    want, mass = _synthesize_reference(c, rho, s, t)
+    got = [synthesize(c, rho, s, t)]
+    # three points per chunk: the seven points take three chunks
+    monkeypatch.setattr(fourier, "_INV_CHUNK",
+                        3 * np.unique(np.abs(c.lambda_grid)).size)
+    got.append(synthesize(c, rho, s, t))
+    for g in got:
+        assert np.all(np.abs(g - want) <= 1e-13 * mass)
 
 
 def test_synthesize_rejects_negative_rho():
