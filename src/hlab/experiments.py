@@ -168,23 +168,25 @@ def run_heat_equiv(cfg: ExperimentConfig) -> ExperimentReport:
     t_list = cfg.times((0.5, 1.0, 2.0))
     rows = []
     for t in t_list:
-        for rho in np.linspace(0.0, 4.0, n):
-            for s in np.linspace(-4.0, 4.0, n):
-                q = KernelQuery(d=cfg.d, t_or_z=float(t), rho=float(rho),
-                                s=float(s), tol=1e-13)
-                gav = heat_kernel_gaveau(q).value
-                # The tail target sits two decades under the relative
-                # tolerance (the kernel falls to 4.65e-4 on the default
-                # grid, far lower at small t); the series raises
-                # BudgetExhausted where its round-off floor cannot meet it.
-                budget = TruncationBudget(
-                    max_terms=100000,
-                    tail_tolerance=min(5e-12, 1e-9 * abs(gav)))
-                ser = heat_kernel_series(q, budget=budget).value
-                rel = abs(ser - gav) / max(abs(gav), 1e-300)
-                rows.append((cfg.d, float(t), float(rho), float(s),
-                             ser.real, ser.imag, gav.real, gav.imag,
-                             rel, tol, rel <= tol))
+        # the grid at one t: one lockstep batch of tau integrals
+        grid = [KernelQuery(d=cfg.d, t_or_z=float(t), rho=float(rho),
+                            s=float(s), tol=1e-13)
+                for rho in np.linspace(0.0, 4.0, n)
+                for s in np.linspace(-4.0, 4.0, n)]
+        for q, g in zip(grid, heat_kernel_gaveau(grid)):
+            gav = g.value
+            # The tail target sits two decades under the relative
+            # tolerance (the kernel falls to 4.65e-4 on the default
+            # grid, far lower at small t); the series raises
+            # BudgetExhausted where its round-off floor cannot meet it.
+            budget = TruncationBudget(
+                max_terms=100000,
+                tail_tolerance=min(5e-12, 1e-9 * abs(gav)))
+            ser = heat_kernel_series(q, budget=budget).value
+            rel = abs(ser - gav) / max(abs(gav), 1e-300)
+            rows.append((cfg.d, float(t), q.rho, q.s,
+                         ser.real, ser.imag, gav.real, gav.imag,
+                         rel, tol, rel <= tol))
     cols = ["d", "t", "rho", "s", "series_re", "series_im",
             "integral_re", "integral_im", "rel_err", "tol", "pass"]
     return ExperimentReport("heat-equiv", cols, rows,
@@ -298,15 +300,14 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     # complex-time limit at 5 strip points, eps sweep
     pts = [(rng.uniform(0.2, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(5)]
     t_c = 1.0
-    base = [schrodinger_kernel(KernelQuery(d=d, t_or_z=t_c, rho=r, s=s,
-                                           tol=1e-11)).value
-            for (r, s) in pts]
+    base = [v.value for v in schrodinger_kernel(
+        [KernelQuery(d=d, t_or_z=t_c, rho=r, s=s, tol=1e-11)
+         for (r, s) in pts])]
     prev = None
     for eps in (1e-2, 1e-3, 1e-4):
-        vals = [kernel_complex_time(
-            KernelQuery(d=d, t_or_z=complex(eps, -t_c), rho=r, s=s,
-                        tol=1e-11), eps=0.5).value
-            for (r, s) in pts]
+        vals = [v.value for v in kernel_complex_time(
+            [KernelQuery(d=d, t_or_z=complex(eps, -t_c), rho=r, s=s,
+                         tol=1e-11) for (r, s) in pts], eps=0.5)]
         diff = max(abs(a - b) for a, b in zip(vals, base))
         ratio = float("nan") if prev is None else diff / prev
         ok = prev is None or diff < prev
@@ -559,13 +560,14 @@ def run_restricted_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 
     for ell in (1, 2):
         band_hi = 4.0 * (2 * ell + d)
-        for s_over_t in (0.0, 2.0, 0.5 * (4.0 * d + band_hi)):
-            scaled = []
-            for t in t_list:
-                q = KernelQuery(d=d, t_or_z=float(t), rho=rho,
-                                s=float(s_over_t * t), tol=1e-10)
-                v = restricted_kernel(ell, q).value
-                scaled.append(t ** half_q * abs(v))
+        ratios = (0.0, 2.0, 0.5 * (4.0 * d + band_hi))
+        # one lockstep batch per time: every s/t ratio at that t
+        at_t = [restricted_kernel(ell, [
+            KernelQuery(d=d, t_or_z=float(t), rho=rho, s=float(r * t),
+                        tol=1e-10) for r in ratios]) for t in t_list]
+        for j, s_over_t in enumerate(ratios):
+            scaled = [t ** half_q * abs(vals[j].value)
+                      for t, vals in zip(t_list, at_t)]
             spread = (max(scaled) - min(scaled)) / np.mean(scaled)
             ok = spread < 0.05 and all(np.isfinite(scaled))
             for t, sv in zip(t_list, scaled):
@@ -585,8 +587,8 @@ def run_mkappa(cfg: ExperimentConfig) -> ExperimentReport:
     top = math.sqrt(4.0 * d)
     kappas = [0.0, 0.3 * top, 0.5 * top, 0.7 * top, 0.9 * top,
               math.sqrt(4.0 * d - 0.1), math.sqrt(4.0 * d - 0.01)]
-    vals = [dispersion_constant(k, d) for k in kappas]
-    signed = [dispersion_constant(k, d, signed=True) for k in kappas]
+    vals = dispersion_constant(kappas, d)
+    signed = dispersion_constant(kappas, d, signed=True)
     rows = []
     for i, (k, v, sv) in enumerate(zip(kappas, vals, signed)):
         ok = v > 0 and sv <= v * (1.0 + 1e-12)

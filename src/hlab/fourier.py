@@ -26,9 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .group import GroupPoint, product
-from .quadrature import (_leggauss, gauss_panels, integrate_adaptive,
-                         simpson_rule)
-from .special import hermite_table, laguerre_sweep, laguerre_table
+from .quadrature import _leggauss, gauss_panels, simpson_rule
+from .special import laguerre_sweep, laguerre_table
 
 
 @dataclass
@@ -129,35 +128,6 @@ def wigner_radial(ell: int, lam: float, rho, alpha: float = 0.0):
     rho = np.asarray(rho, dtype=float)
     a = abs(float(lam))
     return np.exp(-a * rho) * laguerre_table(ell, alpha, 2.0 * a * rho)[ell]
-
-
-def wigner_general_d1(n: int, m: int, lam: float, y: float, eta: float,
-                      tol: float = 1e-10) -> complex:
-    """Matrix element of the lam-representation between scaled Hermite
-    states, at d = 1:
-
-    integral over z of exp(2 i lam eta z) H_{n,lam}(y + z) H_{m,lam}(-y + z).
-
-    Always bounded by 1 in modulus.
-    """
-    lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    a = abs(lam)
-    ra = math.sqrt(a)
-    mtop = max(n, m)
-    # beyond the classical turning point, Hermite functions die off fast
-    half = abs(y) + (math.sqrt(2.0 * mtop + 1.0) + 9.0) / ra
-
-    def f(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        hn = hermite_table(mtop, ra * (y + z))
-        hm = hermite_table(mtop, ra * (z - y))
-        return (np.sqrt(a) * np.exp(2j * lam * eta * z)
-                * hn[n] * hm[m])
-
-    val, _ = integrate_adaptive(f, -half, half, tol)
-    return complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +432,11 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
         trig = {odd: damp * (np.sin(arg) if odd else np.cos(arg))
                 for odd in {odd for odd, _ in keys}}
         for p, (odd, imag) in enumerate(keys):
-            # einsum sums over |lam| in one fixed order; a BLAS product
-            # would round differently with the BLAS thread count
-            part = np.einsum("ij,ij->i", trig[odd], acc[p])
+            # each point's sum over |lam| on its own, in one fixed order: a
+            # BLAS product would round differently with the BLAS thread
+            # count, and a blocked einsum with the points in its block
+            part = np.array([np.einsum("j,j->", a, b)
+                             for a, b in zip(trig[odd], acc[p])])
             # i sin(s |lam|) times the odd row: O.re into the imaginary
             # component, O.im into the real one with a minus sign
             if odd and imag:
@@ -545,14 +517,6 @@ def evolve_heat(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
     return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
                                 weights=c.weights.copy(),
                                 values=c.values * damp)
-
-
-def vertical_translate(c: SpectralCoefficients, s0: float) -> SpectralCoefficients:
-    """Multiply by exp(-i s0 lam); synthesis then reads off f(rho, s - s0)."""
-    phase = np.exp(-1j * float(s0) * c.lambda_grid)[None, :]
-    return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
-                                weights=c.weights.copy(),
-                                values=c.values * phase)
 
 
 # ---------------------------------------------------------------------------

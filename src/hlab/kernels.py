@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import backend
-from .quadrature import (Integrand1D, _leggauss, gauss_panels,
+from .quadrature import (Integrand1D, _leggauss, along_rows, gauss_panels,
                          integrate_exponential_tail)
 from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
                       sinh_ratio_log, tau_over_tanh2)
@@ -149,12 +150,15 @@ def _laguerre_series_tail(ell: int, alpha: float, x: np.ndarray,
 
 def _integrand_values(d: int, z: complex, rho: np.ndarray, s: np.ndarray,
                       tau: np.ndarray, ell: int | None) -> np.ndarray:
-    """Strip-kernel integrand, elementwise over equal-length flat arrays.
+    """Strip-kernel integrand, elementwise over equal-shape arrays of
+    rows (one quadrature panel or probe set each).
 
     For ell in (None, 0) this is the plain integrand; positive ell
     subtracts the first ell terms of the Laguerre generating series from
     it, switching to a tail resummation wherever the subtraction loses six
-    digits.
+    digits.  The resummation stops on the largest term of all it is
+    given, so it runs row by row: a row's values do not depend on which
+    rows share the call.
     """
     inv2z = 1.0 / (2.0 * z)
     base = np.exp(sinh_ratio_log(tau, d)
@@ -182,86 +186,114 @@ def _integrand_values(d: int, z: complex, rho: np.ndarray, s: np.ndarray,
     lost = (np.abs(base) + np.abs(pref) * part_abs
             > _GUARD_RATIO * np.maximum(np.abs(diff), 1e-300))
     bad = lost & (at > 0.0)
-    if np.any(bad):
-        tail = _laguerre_series_tail(ell, alpha, x[bad], r[bad])
-        diff[bad] = pref[bad] * tail
+    for i in np.flatnonzero(np.any(bad, axis=-1)):
+        sel = bad[i]
+        tail = _laguerre_series_tail(ell, alpha, x[i, sel], r[i, sel])
+        diff[i, sel] = pref[i, sel] * tail
     return diff
 
 
-def _make_strip_integrand(d: int, z: complex, rho: float, s: float,
-                          ell: int | None):
-    """Scalar-query closure over tau around the shared flat evaluator."""
-
-    def g(tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        rho_f = np.full_like(tau, rho)
-        s_f = np.full_like(tau, s)
-        return _integrand_values(d, z, rho_f, s_f, tau, ell)
-
-    return g
-
-
-def _strip_eval(d: int, z: complex, rho: float, s: float, tol: float,
-                ell: int | None = None) -> KernelValue:
-    rate = _envelope_rate(d, z, rho, s) + (4.0 * ell if ell else 0.0)
-    if rate <= 0.0:
-        band = 2.0 * (2 * (ell or 0) + d)
-        raise StripViolation(
-            "no envelope: need |s| < %g |z| at rho = %g (rate %.3g)"
-            % (2.0 * band, rho, rate))
+def _strip_eval(qs: list, z: complex, default_tol: float,
+                ell: int | None = None) -> list:
+    """KernelValues of the queries qs, which share d, at one time z: one
+    lockstep batch of tau integrals."""
+    d = qs[0].d
+    rates = []
+    for q in qs:
+        rate = _envelope_rate(d, z, q.rho, q.s) + (4.0 * ell if ell else 0.0)
+        if rate <= 0.0:
+            band = 2.0 * (2 * (ell or 0) + d)
+            raise StripViolation(
+                "no envelope: need |s| < %g |z| at rho = %g (rate %.3g)"
+                % (2.0 * band, q.rho, rate))
+        rates.append(rate)
     pref = (4.0 * math.pi * z) ** (-(d + 1))
-    integrand = Integrand1D(_make_strip_integrand(d, z, rho, s, ell), rate)
-    width = _osc_panel_width(z, rho, s)
+    rho = np.array([q.rho for q in qs])
+    s = np.array([q.s for q in qs])
+
+    def f(tau, member):
+        return _integrand_values(d, z, along_rows(rho, member, tau),
+                                 along_rows(s, member, tau), tau, ell)
+
+    tol = [(q.tol if q.tol is not None else default_tol) / abs(pref)
+           for q in qs]
+    width = [_osc_panel_width(z, q.rho, q.s) for q in qs]
     val, err, t_cut = integrate_exponential_tail(
-        integrand, tol / abs(pref), max_panel_width=width)
-    return KernelValue(pref * val, abs(pref) * err, t_cut)
+        Integrand1D(f, rates, members=len(qs)), tol, max_panel_width=width)
+    return [KernelValue(pref * v, abs(pref) * e, c)
+            for v, e, c in zip(val, err, t_cut)]
+
+
+def _queries(q) -> list:
+    """The queries of one KernelQuery or of a sequence of them, which must
+    share d and t_or_z."""
+    qs = [q] if isinstance(q, KernelQuery) else list(q)
+    if not qs:
+        raise ValueError("no kernel queries given")
+    if any(x.d != qs[0].d or x.z != qs[0].z for x in qs):
+        raise ValueError("a batch of kernel queries shares d and t_or_z")
+    return qs
 
 
 # ---------------------------------------------------------------------------
 # Public kernels
+#
+# Each takes one KernelQuery and returns a KernelValue, or a sequence of
+# queries sharing d and t_or_z and returns a list of them, integrated as
+# one lockstep batch (quadrature.integrate_adaptive) with the bits of
+# separate calls.  A lone query is the batch of one.
 
-def heat_kernel_gaveau(q: KernelQuery) -> KernelValue:
+def heat_kernel_gaveau(q: KernelQuery | Sequence[KernelQuery]
+                      ) -> KernelValue | list:
     """Heat kernel by direct quadrature of the closed form.
 
     Real, positive, and self-similar: the value at time t equals
     t^(-Q/2) times the value at time 1 of (rho / t, s / t)."""
-    t = q.t
+    qs = _queries(q)
+    t = qs[0].t
     if t <= 0.0:
         raise ValueError("heat kernel needs t > 0")
-    tol = q.tol if q.tol is not None else _DEFAULT_TOL
-    return _strip_eval(q.d, complex(t), q.rho, q.s, tol)
+    vals = _strip_eval(qs, complex(t), _DEFAULT_TOL)
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
-def schrodinger_kernel(q: KernelQuery) -> KernelValue:
+def schrodinger_kernel(q: KernelQuery | Sequence[KernelQuery]
+                      ) -> KernelValue | list:
     """Unitary flow kernel at real t != 0, defined for |s| < 4 d |t|."""
-    t = q.t
+    qs = _queries(q)
+    t = qs[0].t
     if t == 0.0:
         raise ZeroTime("unitary kernel undefined at t = 0")
-    tol = q.tol if q.tol is not None else _DEFAULT_TOL
-    return _strip_eval(q.d, complex(0.0, -t), q.rho, q.s, tol)
+    vals = _strip_eval(qs, complex(0.0, -t), _DEFAULT_TOL)
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
-def kernel_complex_time(q: KernelQuery, eps: float = 0.05) -> KernelValue:
+def kernel_complex_time(q: KernelQuery | Sequence[KernelQuery],
+                        eps: float = 0.05) -> KernelValue | list:
     """Kernel at complex time z, Re z >= 0, z != 0.
 
     Requires |s| < (4 d - eps) |z| so the integrand keeps an exponential
     envelope with a margin; StripViolation otherwise."""
-    z = q.z
+    qs = _queries(q)
+    d = qs[0].d
+    z = qs[0].z
     if z == 0:
         raise ZeroTime("kernel undefined at z = 0")
     if z.real < 0.0:
         raise ValueError("need Re z >= 0")
-    if not 0.0 < eps < 4.0 * q.d:
+    if not 0.0 < eps < 4.0 * d:
         raise ValueError("eps must lie in (0, 4d)")
-    if abs(q.s) >= (4.0 * q.d - eps) * abs(z):
-        raise StripViolation(
-            "|s| = %g outside (4d - eps)|z| = %g"
-            % (abs(q.s), (4.0 * q.d - eps) * abs(z)))
-    tol = q.tol if q.tol is not None else _DEFAULT_TOL
-    return _strip_eval(q.d, z, q.rho, q.s, tol)
+    for x in qs:
+        if abs(x.s) >= (4.0 * d - eps) * abs(z):
+            raise StripViolation(
+                "|s| = %g outside (4d - eps)|z| = %g"
+                % (abs(x.s), (4.0 * d - eps) * abs(z)))
+    vals = _strip_eval(qs, z, _DEFAULT_TOL)
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
-def restricted_kernel(ell: int, q: KernelQuery) -> KernelValue:
+def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
+                      ) -> KernelValue | list:
     """Unitary kernel restricted to Laguerre indices >= ell.
 
     Strip widens to |s| < 4 (2 ell + d) |t|; at ell = 0 this runs the exact
@@ -269,11 +301,13 @@ def restricted_kernel(ell: int, q: KernelQuery) -> KernelValue:
     ell = int(ell)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    t = q.t
+    qs = _queries(q)
+    t = qs[0].t
     if t == 0.0:
         raise ZeroTime("unitary kernel undefined at t = 0")
-    tol = q.tol if q.tol is not None else _DEFAULT_TOL_RESTRICTED
-    return _strip_eval(q.d, complex(0.0, -t), q.rho, q.s, tol, ell=ell)
+    vals = _strip_eval(qs, complex(0.0, -t), _DEFAULT_TOL_RESTRICTED,
+                       ell=ell)
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +448,8 @@ def heat_kernel_series(q: KernelQuery,
 # ---------------------------------------------------------------------------
 # Dispersion constants
 
-def dispersion_constant(kappa: float, d: int = 1, tol: float = 1e-10,
-                        signed: bool = False) -> float:
+def dispersion_constant(kappa, d: int = 1, tol: float = 1e-10,
+                        signed: bool = False):
     """Sup-norm constant of the unitary kernel on the region |s| <= kappa^2 |t|:
 
     M_kappa = (4 pi)^(-(d+1)) integral of
@@ -423,35 +457,38 @@ def dispersion_constant(kappa: float, d: int = 1, tol: float = 1e-10,
 
     Finite exactly when kappa^2 < 4 d; raises ValueError at or beyond.
     The signed variant replaces |tau| by tau, which by symmetry integrates
-    cosh(kappa^2 tau / 2) and is smaller."""
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    rate = 2.0 * d - 0.5 * kappa * kappa
-    if rate <= 0.0:
-        raise ValueError(
-            "dispersion integral diverges for kappa^2 >= 4d (kappa = %g)"
-            % kappa)
-    k2 = 0.5 * kappa * kappa
+    cosh(kappa^2 tau / 2) and is smaller.  A sequence of kappas gives a
+    list of constants, integrated as one lockstep batch."""
+    kappas = [float(k) for k in np.atleast_1d(kappa)]
+    rates = []
+    for k in kappas:
+        if k < 0.0:
+            raise ValueError("kappa must be nonnegative")
+        rates.append(2.0 * d - 0.5 * k * k)
+        if rates[-1] <= 0.0:
+            raise ValueError(
+                "dispersion integral diverges for kappa^2 >= 4d (kappa = %g)"
+                % k)
+    k2 = np.array([0.5 * k * k for k in kappas])
 
     # in logs: at large tau the plain ratio underflows while exp(k2 tau)
     # overflows; the combined exponent is bounded whenever rate > 0
-    if signed:
-        def f(tau):
-            a = np.abs(np.asarray(tau, dtype=float))
-            lr = sinh_ratio_log(a, d)
-            return 0.5 * (np.exp(lr + k2 * a) + np.exp(lr - k2 * a))
-    else:
-        def f(tau):
-            a = np.abs(np.asarray(tau, dtype=float))
-            return np.exp(sinh_ratio_log(a, d) + k2 * a)
+    def f(tau, member):
+        a = np.abs(tau)
+        lr = sinh_ratio_log(a, d)
+        ka = along_rows(k2, member, a) * a
+        if signed:
+            return 0.5 * (np.exp(lr + ka) + np.exp(lr - ka))
+        return np.exp(lr + ka)
 
     # Near the endpoint the integral grows like 1/rate; an absolute tol
     # there would sit below the composite-rule round-off floor, so read
     # tol relative to that magnitude once it exceeds one.
-    tol_eff = tol * max(1.0, 2.0 / rate)
-    val, _, _ = integrate_exponential_tail(Integrand1D(f, rate), tol_eff)
-    return float(np.real(val)) / (4.0 * math.pi) ** (d + 1)
+    tol_eff = [tol * max(1.0, 2.0 / rate) for rate in rates]
+    val, _, _ = integrate_exponential_tail(
+        Integrand1D(f, rates, members=len(kappas)), tol_eff)
+    out = [float(np.real(v)) / (4.0 * math.pi) ** (d + 1) for v in val]
+    return out[0] if np.ndim(kappa) == 0 else out
 
 
 def dispersive_onset_time(kappa: float, r0: float, d: int = 1) -> float:

@@ -3,7 +3,12 @@
 One dimensional integrals use adaptive Gauss-Kronrod (G7, K15) with
 largest-error-first bisection.  Integrals over the whole line with a known
 exponential envelope are truncated symmetrically at a point T chosen from
-the envelope, never through variable transforms.  The fixed rules are
+the envelope, never through variable transforms.  Both engines take a
+batch of independent integrals in lockstep: each member keeps its own
+panels, running total and error, and splits exactly the panels its lone
+run splits, while one integrand call per round evaluates the new panels
+of every member still short of its tolerance.  A lone integral is the
+batch of one, and every member gets its lone run's bits.  The fixed rules are
 composite Gauss-Legendre panels (gauss_panels) and Simpson on a uniform
 axis (simpson_rule); box integrals use tensor products of the latter.
 Gauge-ball norms of functions of (|Y|^2, s) use the Simpson rule of the
@@ -29,12 +34,14 @@ class QuadratureError(Exception):
 
 
 class QuadratureNonConvergence(QuadratureError):
-    """Panel budget ran out; carries the best value and error so far."""
+    """Panel budget ran out; carries the best value and error so far and
+    the index of the integral in its batch (0 for a lone integral)."""
 
-    def __init__(self, message, value=None, err=None):
+    def __init__(self, message, value=None, err=None, member=0):
         super().__init__(message)
         self.value = value
         self.err = err
+        self.member = member
 
 
 class EnvelopeError(ValueError):
@@ -43,14 +50,19 @@ class EnvelopeError(ValueError):
 
 @dataclass
 class Integrand1D:
-    """A scalar (possibly complex) integrand on R.
+    """A scalar (possibly complex) integrand on R, or a batch of them.
 
-    evaluate      : callable, numpy-vectorized
-    envelope_rate : r > 0 such that |f(tau)| <~ C exp(-r |tau|) at infinity
+    evaluate      : callable, numpy-vectorized and elementwise; for a
+                    batch, evaluate(x, member) as integrate_adaptive's
+                    batches take it
+    envelope_rate : r > 0 such that |f(tau)| <~ C exp(-r |tau|) at
+                    infinity; for a batch, one per member
+    members       : None for one integrand, else the batch size
     """
 
     evaluate: Callable
-    envelope_rate: float | None = None
+    envelope_rate: float | Sequence[float] | None = None
+    members: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +110,35 @@ for _i in range(1, 4):
 _EPS = np.finfo(float).eps
 
 
-def _complex_valued(f: Callable) -> Callable:
-    """The numpy-vectorized f, returning complex arrays."""
-    return lambda x: np.asarray(f(x), dtype=complex)
+def _rowwise(f: Callable) -> Callable:
+    """A lone integrand f(x) as the batch-of-one integrand f(x, member):
+    one call per row of x, that is per panel or probe set."""
+    return lambda x, member: np.array(
+        [np.asarray(f(row), dtype=complex) for row in x])
 
 
-def _gk_panel(fv: Callable, a: float, b: float):
-    """Return (K15 value, error estimate) on [a, b]."""
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = fv(mid + h * _X15)
+def _per_member(value, n: int) -> list:
+    """A per-member setting as a list of n entries; a scalar (or None) is
+    shared by every member."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        if len(value) != n:
+            raise ValueError("need one setting per member (%d), got %d"
+                             % (n, len(value)))
+        return list(value)
+    return [value] * n
+
+
+def along_rows(values: np.ndarray, member: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """values[member] spelled out along the rows of x, contiguous and of
+    x's shape: a batch integrand's per-member constants, laid out as a
+    lone integrand's own constants would be."""
+    return np.repeat(values[member], x.shape[-1]).reshape(x.shape)
+
+
+def _gk_panel(y: np.ndarray, h: float):
+    """(K15 value, error estimate) of a panel of half-width h from its 15
+    node values y."""
     resk = _W15 @ y
     resg = _W7_ON_15 @ y
     value = resk * h
@@ -121,116 +152,196 @@ def _gk_panel(fv: Callable, a: float, b: float):
     return value, err
 
 
-def integrate_adaptive(f: Callable, a: float, b: float, tol: float,
-                       max_panels: int = 4000,
-                       max_panel_width: float | None = None,
-                       breakpoints: Sequence[float] = ()):
-    """Adaptive G7/K15 over [a, b].
+def _gk_panels(fv: Callable, member, lo, hi) -> list:
+    """(value, err) of each panel [lo[i], hi[i]] of member[i], from one
+    call fv(x, member) on their K15 nodes, one row per panel."""
+    h = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    x = np.array(mid)[:, None] + np.array(h)[:, None] * _X15
+    y = np.ascontiguousarray(fv(x, np.asarray(member)), dtype=complex)
+    return [_gk_panel(y[i], h[i]) for i in range(len(h))]
 
-    Returns (value, err).  Raises QuadratureNonConvergence (carrying the
-    partial value and error) when the panel budget runs out first.
-    """
-    a = float(a)
-    b = float(b)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not b > a:
-        raise ValueError("need b > a")
-    fv = _complex_valued(f)
 
+def _initial_edges(a: float, b: float, width, breakpoints) -> list:
+    """Panel edges on [a, b]: the breakpoints inside it, then each piece
+    cut into equal panels no wider than width (None or <= 0: uncut)."""
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
-    if max_panel_width is not None and max_panel_width > 0.0:
+    if width is not None and width > 0.0:
         refined = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(1, math.ceil((hi - lo) / max_panel_width))
+            n = max(1, math.ceil((hi - lo) / width))
             refined.extend(np.linspace(lo, hi, n + 1)[:-1])
         refined.append(b)
         edges = refined
+    return edges
 
-    heap = []
+
+def integrate_adaptive(f: Callable, a, b, tol, max_panels: int = 4000,
+                       max_panel_width=None,
+                       breakpoints: Sequence[float] = (),
+                       members: int | None = None):
+    """Adaptive G7/K15 over [a, b], for one integral or a lockstep batch.
+
+    A lone integral (members None) takes f(x), numpy-vectorized, called
+    on one panel's 15 nodes at a time, and returns (value, err).  A batch
+    of `members` independent integrals takes f(x, member): x of shape
+    (rows, nodes) holds one panel's nodes per row, member (rows,) the
+    integral each row belongs to, and f returns values of x's shape,
+    computing each row as it would alone.  a, b, tol and max_panel_width
+    are scalars or one per member, max_panels and breakpoints are shared,
+    and (values, errs) come back as arrays.
+
+    Each integral keeps its own panels, running total and error, and
+    splits its largest-error panel until its error meets
+    max(tol, 1e-15 |value|).  A round splits one panel of every integral
+    still short of that, with one call of f on the 15 nodes of each half;
+    the panel sums stay per panel, so every member of a batch gets the
+    bits of its lone run.  Raises QuadratureNonConvergence, carrying the
+    partial value and error and, as .member, the integral's index, when
+    its panel budget runs out first.  The other members of a batch run
+    on; the error raised is the lowest-indexed member's, the one a loop
+    over the members would raise.
+    """
+    lone = members is None
+    n = 1 if lone else int(members)
+    fv = _rowwise(f) if lone else f
+    a = [float(v) for v in _per_member(a, n)]
+    b = [float(v) for v in _per_member(b, n)]
+    tol = [float(v) for v in _per_member(tol, n)]
+    width = _per_member(max_panel_width, n)
+    for m in range(n):
+        if not tol[m] > 0.0:
+            raise ValueError("tol must be positive")
+        if not b[m] > a[m]:
+            raise ValueError("need b > a")
+
+    # every member's first panels in one call; one counter orders the heap
+    # ties of all members as each member's own counter would
+    first = [(m, lo, hi) for m in range(n)
+             for lo, hi in itertools.pairwise(
+                 _initial_edges(a[m], b[m], width[m], breakpoints))]
+    heaps = [[] for _ in range(n)]
     counter = itertools.count()
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _gk_panel(fv, lo, hi)
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, next(counter), lo, hi, v, e))
+    totals = [0.0 + 0.0j] * n
+    errs = [0.0] * n
+    for (m, lo, hi), (v, e) in zip(first, _gk_panels(fv, *zip(*first))):
+        totals[m] += v
+        errs[m] += e
+        heapq.heappush(heaps[m], (-e, next(counter), lo, hi, v, e))
 
-    span = b - a
-    while total_err > max(tol, 1e-15 * abs(total)):
-        if len(heap) >= max_panels:
-            raise QuadratureNonConvergence(
-                "panel budget %d exhausted (err %.3e, tol %.3e)"
-                % (max_panels, total_err, tol), value=total, err=total_err)
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        if (hi - lo) < 1e-15 * span:
-            raise QuadratureNonConvergence(
-                "panel width underflow near %.17g" % lo,
-                value=total, err=total_err)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk_panel(fv, lo, mid)
-        v2, e2 = _gk_panel(fv, mid, hi)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, next(counter), lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, next(counter), mid, hi, v2, e2))
-    return total, total_err
+    failed = {}
+    active = range(n)
+    while True:
+        split = []
+        for m in active:
+            if errs[m] <= max(tol[m], 1e-15 * abs(totals[m])):
+                continue
+            if len(heaps[m]) >= max_panels:
+                failed[m] = ("panel budget %d exhausted (err %.3e, tol %.3e)"
+                             % (max_panels, errs[m], tol[m]))
+                continue
+            _, _, lo, hi, v, e = heapq.heappop(heaps[m])
+            if (hi - lo) < 1e-15 * (b[m] - a[m]):
+                failed[m] = "panel width underflow near %.17g" % lo
+                continue
+            split.append((m, lo, 0.5 * (lo + hi), hi, v, e))
+        if failed:              # members past the first failure are moot
+            split = [p for p in split if p[0] < min(failed)]
+        if not split:
+            break
+        # the halves [lo, mid] and [mid, hi] of each split panel, in order
+        halves = _gk_panels(fv, [p[0] for p in split for _ in (0, 1)],
+                            [x for p in split for x in p[1:3]],
+                            [x for p in split for x in p[2:4]])
+        for k, (m, lo, mid, hi, v, e) in enumerate(split):
+            (v1, e1), (v2, e2) = halves[2 * k], halves[2 * k + 1]
+            totals[m] += v1 + v2 - v
+            errs[m] += e1 + e2 - e
+            heapq.heappush(heaps[m], (-e1, next(counter), lo, mid, v1, e1))
+            heapq.heappush(heaps[m], (-e2, next(counter), mid, hi, v2, e2))
+        active = [p[0] for p in split]
+    if failed:
+        m = min(failed)
+        raise QuadratureNonConvergence(failed[m], value=totals[m],
+                                       err=errs[m], member=m)
+    if lone:
+        return totals[0], errs[0]
+    return np.array(totals), np.array(errs)
 
 
 _PROBE_BASE = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 
-def integrate_exponential_tail(integrand: Integrand1D, tol: float,
-                               max_panel_width: float | None = None,
+def _cutoff(c: float, rate: float, tol: float) -> float:
+    """Truncation point T where the envelope c exp(-rate T) and its two
+    tails both fall below tol / 2."""
+    t1 = math.log(max(4.0 * c / (rate * tol), 2.0)) / rate
+    t2 = math.log(max(2.0 * c / tol, 2.0)) / rate
+    return max(t1, t2, 0.5)
+
+
+def integrate_exponential_tail(integrand: Integrand1D, tol,
+                               max_panel_width=None,
                                max_panels: int = 4000):
     """Integrate over all of R an integrand with exponential decay.
 
     The truncation point T is chosen so the envelope bound on the discarded
     tails is below tol/2 and the envelope itself is below tol/2 at T.
     Returns (value, err, T) where err adds the tail bound to the quadrature
-    error.  Raises EnvelopeError when no positive decay rate is declared.
+    error.  A batch integrand (integrand.members set) takes tol and
+    max_panel_width per member too, probes every member in one call of
+    its evaluate and integrates them in one integrate_adaptive batch;
+    values, errs and T come back as arrays.  Raises EnvelopeError when a
+    member declares no positive decay rate, QuadratureError when every
+    probe of a member is NaN (the lowest-indexed such member's, before
+    any panel is split).
     """
-    rate = integrand.envelope_rate
-    if rate is None or not rate > 0.0:
+    lone = integrand.members is None
+    n = 1 if lone else int(integrand.members)
+    rates = _per_member(integrand.envelope_rate, n)
+    if any(r is None or not r > 0.0 for r in rates):
         raise EnvelopeError("integrand has no positive envelope rate")
-    if not tol > 0.0:
+    tols = _per_member(tol, n)
+    if any(not t > 0.0 for t in tols):
         raise ValueError("tol must be positive")
-    fv = _complex_valued(integrand.evaluate)
+    f = _rowwise(integrand.evaluate) if lone else integrand.evaluate
+    rate_col = np.array(rates, dtype=float)[:, None]
 
-    def amplitude(points: np.ndarray) -> float:
+    def amplitude(points: np.ndarray) -> list:
+        """max of |f| exp(rate |tau|) over each member's row of points"""
         at = np.abs(points)
-        absf = np.abs(fv(points))
+        absf = np.abs(np.asarray(f(points, np.arange(n)), dtype=complex))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mags = absf * np.exp(rate * at)
+            mags = absf * np.exp(rate_col * at)
             # where exp overflows the product is read in logs: 0 once f
             # has underflowed (0 * inf would be NaN), finite before that
             mags = np.where(np.isfinite(mags), mags,
-                            np.exp(np.log(absf) + rate * at))
-        mags = mags[~np.isnan(mags)]
-        if not mags.size:
-            raise QuadratureError("integrand is NaN at every probe")
-        return float(np.max(mags))
+                            np.exp(np.log(absf) + rate_col * at))
+        out = []
+        for row in mags:
+            row = row[~np.isnan(row)]
+            if not row.size:
+                raise QuadratureError("integrand is NaN at every probe")
+            out.append(float(np.max(row)))
+        return out
 
     probes = np.concatenate([_PROBE_BASE, -_PROBE_BASE[1:]])
-    c_amp = max(amplitude(probes), 1e-300)
+    c_amp = [max(c, 1e-300) for c in amplitude(np.tile(probes, (n, 1)))]
+    t_cut = [_cutoff(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
+    near = np.array([t * np.array([0.55, 0.75, 0.95]) for t in t_cut])
+    c_amp = [max(c, c_near) for c, c_near
+             in zip(c_amp, amplitude(np.concatenate([near, -near], axis=1)))]
+    t_cut = [_cutoff(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
 
-    def cutoff(c: float) -> float:
-        t1 = math.log(max(4.0 * c / (rate * tol), 2.0)) / rate
-        t2 = math.log(max(2.0 * c / tol, 2.0)) / rate
-        return max(t1, t2, 0.5)
-
-    t_cut = cutoff(c_amp)
-    near = t_cut * np.array([0.55, 0.75, 0.95])
-    c_amp = max(c_amp, amplitude(np.concatenate([near, -near])))
-    t_cut = cutoff(c_amp)
-
-    tail_bound = 2.0 * c_amp * math.exp(-rate * t_cut) / rate
-    value, qerr = integrate_adaptive(
-        integrand.evaluate, -t_cut, t_cut, 0.5 * tol,
+    values, qerr = integrate_adaptive(
+        f, [-t for t in t_cut], t_cut, [0.5 * t for t in tols],
         max_panels=max_panels, max_panel_width=max_panel_width,
-        breakpoints=(0.0,))
-    return value, qerr + tail_bound, t_cut
+        breakpoints=(0.0,), members=n)
+    errs = [q + 2.0 * c * math.exp(-r * t) / r
+            for q, c, r, t in zip(qerr, c_amp, rates, t_cut)]
+    if lone:
+        return values[0], errs[0], t_cut[0]
+    return values, np.array(errs), np.array(t_cut)
 
 
 # ---------------------------------------------------------------------------

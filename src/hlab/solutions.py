@@ -30,8 +30,8 @@ import numpy as np
 from .fourier import (RadialFunction, SpectralCoefficients,
                       single_sign_lambda_grid)
 from .kernels import StripViolation, _fixed_tau_rule, _unitary_tau_rule
-from .quadrature import (GridSpec, gauss_panels, grid_nodes_weights,
-                         integrate_adaptive)
+from .quadrature import (GridSpec, along_rows, gauss_panels,
+                         grid_nodes_weights, integrate_adaptive)
 from .special import laguerre_table, sinh_ratio_log, tau_over_tanh2
 
 
@@ -161,24 +161,31 @@ class LineData:
             return complex(out), float(floor)
         return out, floor
 
-    def value_adaptive(self, t: float, rho: float, s: float,
-                       tol: float = 1e-12) -> complex:
-        """Same integral by adaptive panels; the independent route."""
-        rho = float(rho)
-        s = float(s)
-        omega = self.lambda_sign * s + self.drift(t)
+    def value_adaptive(self, t: float, rho, s, tol: float = 1e-12):
+        """Same integral by adaptive panels; the independent route.
+
+        Broadcast over rho and s like value(); the points are integrated
+        as one lockstep batch, each with the bits of its lone run."""
+        rho_b, s_b = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                         np.asarray(s, dtype=float))
+        rho_f = rho_b.reshape(-1)
+        omega = np.array([self.lambda_sign * float(v) + self.drift(t)
+                          for v in s_b.reshape(-1)])
         a, b = self.band
 
-        def f(mu):
-            mu = np.atleast_1d(np.asarray(mu, dtype=float))
-            lag = laguerre_table(self.ell, self.d - 1.0, 2.0 * rho * mu)
-            return (np.exp(1j * omega * mu - rho * mu) * lag[self.ell]
-                    * self.density(mu) * mu ** self.d)
+        def f(mu, member):
+            r = along_rows(rho_f, member, mu)
+            lag = laguerre_table(self.ell, self.d - 1.0, 2.0 * r * mu)
+            return (np.exp(1j * along_rows(omega, member, mu) * mu - r * mu)
+                    * lag[self.ell] * self.density(mu) * mu ** self.d)
 
-        width = 6.0 * math.pi / max(1.0, abs(omega))
+        width = [6.0 * math.pi / max(1.0, abs(w)) for w in omega]
         val, _ = integrate_adaptive(f, a, b, tol, max_panels=20000,
-                                    max_panel_width=width)
-        return complex(val)
+                                    max_panel_width=width,
+                                    members=rho_f.size)
+        if rho_b.ndim == 0:
+            return complex(val[0])
+        return val.reshape(rho_b.shape)
 
     # -- transform route ---------------------------------------------------
 
@@ -250,8 +257,7 @@ def concentration_probe(data: LineData, t: float,
     rho_values = np.asarray(rho_values, dtype=float)
     s_star = data.concentration_point(t)
     moving = data.value(t, rho_values, np.full_like(rho_values, s_star))
-    stationary = np.array([data.value_adaptive(0.0, r, 0.0)
-                           for r in rho_values])
+    stationary = data.value_adaptive(0.0, rho_values, 0.0)
     return ConcentrationProbe(s_star=s_star, moving=np.atleast_1d(moving),
                               stationary=stationary)
 

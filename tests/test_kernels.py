@@ -1,11 +1,15 @@
 """Flow kernels: strip quadrature, series route, constants, batching."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from hlab import kernels
 from hlab.kernels import (BudgetExhausted, KernelQuery, StripViolation,
                           ZeroTime, _fixed_tau_rule, _laguerre_series_tail,
                           dispersion_constant, dispersive_onset_time,
@@ -264,6 +268,113 @@ def test_restricted_kernel_widens_the_strip():
         restricted_kernel(-1, q)
     with pytest.raises(ZeroTime):
         restricted_kernel(1, KernelQuery(t_or_z=0.0))
+
+
+def _triples(values):
+    return np.array([(v.value, v.quad_error, v.truncation_point)
+                     for v in values]).tobytes()
+
+
+def test_kernel_batches_keep_lone_bits():
+    # a batch of queries at one time is one lockstep quadrature; each
+    # member must carry its lone call's value, error and cut-off bits
+    heat = [KernelQuery(t_or_z=0.5, rho=r, s=s, tol=1e-13)
+            for r in (0.0, 1.0, 4.0) for s in (-4.0, 0.0, 2.5)]
+    got = heat_kernel_gaveau(heat)
+    assert isinstance(got, list) and len(got) == len(heat)
+    assert _triples(got) == _triples([heat_kernel_gaveau(q) for q in heat])
+    unit = [KernelQuery(t_or_z=1.0, rho=r, s=s, tol=1e-11)
+            for r, s in ((0.3, -2.9), (1.7, 0.4), (0.9, 2.2))]
+    assert _triples(schrodinger_kernel(unit)) == _triples(
+        [schrodinger_kernel(q) for q in unit])
+    near = [KernelQuery(t_or_z=complex(1e-3, -1.0), rho=q.rho, s=q.s,
+                        tol=1e-11) for q in unit]
+    assert _triples(kernel_complex_time(near, eps=0.5)) == _triples(
+        [kernel_complex_time(q, eps=0.5) for q in near])
+    # both strips of the restricted kernel, its tail resummation included
+    for ell in (1, 2):
+        restr = [KernelQuery(t_or_z=2.0, rho=0.25, s=s, tol=1e-10)
+                 for s in (0.0, 4.0, 4.0 * (ell + 1) + 4.0)]
+        assert _triples(restricted_kernel(ell, restr)) == _triples(
+            [restricted_kernel(ell, q) for q in restr])
+
+
+def test_integrand_rows_do_not_depend_on_their_neighbours():
+    # two panels of restricted-kernel nodes (ell = 3) at different (rho, s),
+    # both resummed by the tail series, which stops on the largest term it
+    # is given: run on the two rows at once it would round the first row
+    # differently than the row alone
+    t = 0.58
+    nodes = np.linspace(-1.0, 1.0, 15)
+    tau = np.array([0.93 + 0.62 * nodes, 1.72 + 0.62 * nodes])
+    rho = np.repeat([3.2, 1.45], 15).reshape(tau.shape)
+    s = np.repeat([-3.2, -3.8], 15).reshape(tau.shape)
+    z = complex(0.0, -t)
+    both = kernels._integrand_values(1, z, rho, s, tau, 3)
+    alone = [kernels._integrand_values(1, z, rho[i:i + 1], s[i:i + 1],
+                                       tau[i:i + 1], 3)[0] for i in (0, 1)]
+    assert both.tobytes() == np.array(alone).tobytes()
+
+
+def test_kernel_batches_share_one_time():
+    with pytest.raises(ValueError):
+        heat_kernel_gaveau([KernelQuery(t_or_z=1.0),
+                            KernelQuery(t_or_z=2.0)])
+    with pytest.raises(ValueError):
+        schrodinger_kernel([KernelQuery(d=1), KernelQuery(d=2)])
+    with pytest.raises(ValueError):
+        restricted_kernel(1, [])
+    # one query outside the strip refuses the whole batch
+    with pytest.raises(StripViolation):
+        schrodinger_kernel([KernelQuery(t_or_z=1.0, s=1.0),
+                            KernelQuery(t_or_z=1.0, s=4.5)])
+
+
+def test_dispersion_constants_batch_over_kappa():
+    kappas = [0.0, 0.9, 1.5, math.sqrt(3.99)]
+    for signed in (False, True):
+        got = dispersion_constant(kappas, signed=signed)
+        assert got == [dispersion_constant(k, signed=signed)
+                       for k in kappas]
+    with pytest.raises(ValueError):
+        dispersion_constant([1.0, 2.0])
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from hlab.kernels import KernelQuery, heat_kernel_gaveau, restricted_kernel
+out = []
+for t in (0.5, 1.0):                        # the heat-equiv --fast grid
+    out += heat_kernel_gaveau([
+        KernelQuery(t_or_z=t, rho=float(r), s=float(s), tol=1e-13)
+        for r in np.linspace(0.0, 4.0, 3) for s in np.linspace(-4.0, 4.0, 3)])
+for ell in (1, 2):                          # restricted-sweep's strips
+    out += restricted_kernel(ell, [
+        KernelQuery(t_or_z=4.0, rho=0.25, s=4.0 * r, tol=1e-10)
+        for r in (0.0, 2.0, 4.0 * (ell + 1) + 2.0)])
+data = np.array([(v.value, v.quad_error, v.truncation_point) for v in out])
+print(hashlib.sha256(data.tobytes()).hexdigest())
+"""
+
+
+def test_kernel_batch_bits_do_not_depend_on_blas_threads():
+    # the per-panel sums are 15-element BLAS dot products
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(kernels.__file__))]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    digests = []
+    for threads in (None, "1"):
+        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            if threads is None:
+                env.pop(key, None)
+            else:
+                env[key] = threads
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_tail_resummation_matches_direct_subtraction():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
+from hlab import kernels
 from hlab.group import GroupPoint, identity, inverse, product
 from hlab.quadrature import (EnvelopeError, GridSpec, Integrand1D,
                              QuadratureError, QuadratureNonConvergence,
@@ -92,6 +93,141 @@ def test_exponential_tail_probe_where_the_integrand_underflows():
     nowhere = Integrand1D(lambda tau: np.full(np.shape(tau), np.nan), 1.0)
     with pytest.raises(QuadratureError):
         integrate_exponential_tail(nowhere, 1e-8)
+
+
+def _members():
+    """Integrals for the lockstep engine: (f, a, b, tol, max_panel_width),
+    with f taking one panel per row of a (rows, 15) array.  All share the
+    breakpoint 0 and a budget of 100 panels."""
+    z = complex(0.0, -1.0)
+    edge = np.sqrt(2) / 2
+
+    def restricted(x):
+        # the ell = 1 restricted kernel at (t, rho, s) = (1, 0.25, 2), whose
+        # subtraction loses its digits at large |tau|: the tail branch
+        return kernels._integrand_values(
+            1, z, np.full(x.shape, 0.25), np.full(x.shape, 2.0), x, 1)
+
+    return {
+        "first panel": (lambda x: x * x, 0.0, 1.0, 1e-13, None),
+        "capped": (lambda x: np.abs(x) * np.cos(15.0 * x), -1.0, 2.0, 1e-12,
+                   0.4),
+        "complex": (lambda x: np.exp(7j * x) / (1.0 + x * x), 0.0, 3.0,
+                    1e-12, None),
+        "restricted": (restricted, -4.8, 4.8, 1e-10, 1.5),
+        # out of panels after 99 splits
+        "budget": (lambda x: np.abs(x - edge) ** 0.1, 0.0, 1.0, 1e-15, None),
+        # panel width underflow at the jump after 69 splits
+        "jump": (lambda x: np.where(x < edge, 1.0, 0.0), 0.0, 1.0, 1e-15,
+                 None),
+    }
+
+
+def _lone(spec):
+    """integrate_adaptive on one integral: its result (or the exception it
+    raised) and the number of panels it evaluated."""
+    f, a, b, tol, width = spec
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x[None, :])[0]
+
+    try:
+        out = integrate_adaptive(g, a, b, tol, max_panels=100,
+                                 max_panel_width=width, breakpoints=(0.0,))
+    except QuadratureNonConvergence as exc:
+        out = exc
+    return out, calls[0]
+
+
+def _batch(specs):
+    """The same integrals as one lockstep batch, and the panels each
+    member evaluated."""
+    rows = [0] * len(specs)
+
+    def f(x, member):
+        out = np.empty(x.shape, dtype=complex)
+        for m in np.unique(member):
+            sel = member == m
+            out[sel] = specs[m][0](x[sel])
+            rows[m] += int(np.count_nonzero(sel))
+        return out
+
+    _, a, b, tol, width = (list(col) for col in zip(*specs))
+    try:
+        out = integrate_adaptive(f, a, b, tol, max_panels=100,
+                                 max_panel_width=width, breakpoints=(0.0,),
+                                 members=len(specs))
+    except QuadratureNonConvergence as exc:
+        out = exc
+    return out, rows
+
+
+def _bits(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_lockstep_batch_members_keep_their_lone_bits(monkeypatch):
+    tails = []
+    resum = kernels._laguerre_series_tail
+    monkeypatch.setattr(kernels, "_laguerre_series_tail",
+                        lambda *a: tails.append(1) or resum(*a))
+    names = ["first panel", "capped", "complex", "restricted"]
+    specs = [_members()[n] for n in names]
+    (values, errs), rows = _batch(specs)
+    assert len(tails) > 0
+    for m, spec in enumerate(specs):
+        (value, err), panels = _lone(spec)
+        assert _bits(values[m], errs[m]) == _bits(value, err), names[m]
+        assert rows[m] == panels, names[m]
+    assert rows[0] == 1             # x^2 is exact on its one first panel
+    assert rows[1] > 8              # 8 capped panels, then splits
+    assert abs(values[2]) > 0.1 and abs(values[2].imag) > 0.01
+
+
+def test_lockstep_batch_raises_its_lowest_failing_member():
+    # two members fail; the later one (the jump) fails in an earlier
+    # round, but the batch raises the lower-indexed one's error, as a loop
+    # over the members would, with its lone payload
+    members = _members()
+    specs = [members[n] for n in ("capped", "complex", "budget",
+                                  "first panel", "jump")]
+    exc, rows = _batch(specs)
+    assert isinstance(exc, QuadratureNonConvergence)
+    assert exc.member == 2
+    lone, panels = _lone(specs[2])
+    assert isinstance(lone, QuadratureNonConvergence)
+    assert lone.member == 0
+    assert str(exc) == str(lone)
+    assert _bits(exc.value, exc.err) == _bits(lone.value, lone.err)
+    assert rows[2] == panels
+    jump, _ = _lone(specs[4])
+    assert "underflow" in str(jump) and "budget" in str(exc)
+    assert rows[4] < panels
+
+
+def test_lockstep_batch_of_tail_integrals_keeps_lone_bits():
+    rates = [1.0, 3.0, 0.5]
+    ks = np.array([0.0, 4.0, 1.5])
+    widths = [None, 2.0, 3.0]
+    lone = [integrate_exponential_tail(Integrand1D(
+        lambda tau, r=r, k=k: np.exp(-r * np.abs(tau)) * np.cos(k * tau), r),
+        1e-11, max_panel_width=w) for r, k, w in zip(rates, ks, widths)]
+
+    def f(tau, member):
+        r = np.array(rates)[member][:, None]
+        return np.exp(-r * np.abs(tau)) * np.cos(ks[member][:, None] * tau)
+
+    values, errs, t_cut = integrate_exponential_tail(
+        Integrand1D(f, rates, members=3), 1e-11, max_panel_width=widths)
+    for m, (v, e, t) in enumerate(lone):
+        assert _bits(values[m], errs[m], t_cut[m]) == _bits(v, e, t)
+    with pytest.raises(EnvelopeError):
+        integrate_exponential_tail(Integrand1D(f, [1.0, 0.0], members=2),
+                                   1e-8)
+    with pytest.raises(ValueError):
+        integrate_adaptive(f, [0.0, 1.0], 2.0, 1e-8, members=3)
 
 
 def test_grid_spec_validation():

@@ -66,6 +66,19 @@ def test_value_routes_agree():
         assert a == pytest.approx(b, abs=1e-3)
 
 
+def test_adaptive_values_batch_with_lone_bits():
+    # one lockstep batch over the points, each with its lone run's bits
+    for profile in ("bump", "hat"):
+        data = LineData(ell=2, lambda_sign=-1, profile=profile)
+        rho = np.array([0.0, 0.7, 2.5, 0.1])
+        s = np.array([0.0, -2.0, 30.0, -59.5])
+        batch = data.value_adaptive(3.0, rho, s)
+        assert batch.shape == (4,)
+        lone = [data.value_adaptive(3.0, r, x) for r, x in zip(rho, s)]
+        assert isinstance(lone[0], complex)
+        assert batch.tobytes() == np.array(lone).tobytes()
+
+
 def test_value_broadcast_and_scalar_forms():
     data = LineData()
     v = data.value(1.0, 0.3, 0.2)
