@@ -1,5 +1,5 @@
-"""The two vectorized hot loops: the Hermite recurrence table and the
-tau-quadrature sum behind batched kernel evaluation."""
+"""Two vectorized loops: the Hermite recurrence table and the tau sum of
+kernels.schrodinger_batch, the tests' pair-sum route."""
 
 from __future__ import annotations
 

@@ -5,12 +5,13 @@ quantity against a stated bound or reference, and returns an
 ExperimentReport whose rows carry a 0/1 pass flag.  Reports are
 deterministic for a fixed configuration.
 
-Approximate runtimes at defaults, two cores: kernel-consistency takes
-2 to 2.6 s (the radial transform), every other experiment a second or
-less.  The fast flag shrinks the ball and transform grids by about half,
-not the convolution's source rule.  Ball norms, of the initial bump and
-of the evolved solution alike, are taken on the radial (rho, s) section
-of the gauge ball (quadrature.radial_ball_rule).
+Approximate runtimes at defaults, two cores, one process each with the
+interpreter's start: kernel-consistency takes 0.5 to 0.6 s (the radial
+transform), every other experiment under half a second.  The fast flag
+shrinks the ball and transform grids by about half, not the
+convolution's source rule.  Ball norms, of the initial bump and of the
+evolved solution alike, are taken on the radial (rho, s) section of the
+gauge ball (quadrature.radial_ball_rule).
 """
 
 from __future__ import annotations

@@ -506,19 +506,6 @@ def evolve_schrodinger(c: SpectralCoefficients, t: float) -> SpectralCoefficient
                                 weights=c.weights.copy(), values=phase)
 
 
-def evolve_heat(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
-    """Heat flow: multiply block (ell, lam) by exp(-4 t |lam| (2 ell + d))."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("heat flow needs t >= 0")
-    ells = np.arange(c.ell_max + 1)[:, None]
-    damp = -4.0 * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d)
-    np.exp(damp, out=damp)
-    return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
-                                weights=c.weights.copy(),
-                                values=c.values * damp)
-
-
 # ---------------------------------------------------------------------------
 # Finite difference sublaplacian (a test oracle for the symbol)
 

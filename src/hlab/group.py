@@ -100,11 +100,6 @@ def left_translate(g: GroupPoint, w: GroupPoint) -> GroupPoint:
     return product(g, w)
 
 
-def in_ball(w: GroupPoint, center: GroupPoint, radius: float) -> bool:
-    """Strict gauge ball membership: d(center, w) < radius."""
-    return distance(center, w) < float(radius)
-
-
 def random_point(rng: np.random.Generator, d: int = 1,
                  scale: float = 1.0) -> GroupPoint:
     """Gaussian horizontal parts, uniform vertical part in [-4, 4] * scale^2."""

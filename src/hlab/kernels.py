@@ -27,7 +27,7 @@ import numpy as np
 
 from . import backend
 from .quadrature import (Integrand1D, _leggauss, along_rows, gauss_panels,
-                         integrate_exponential_tail)
+                         integrate_exponential_tail, tail_cutoff)
 from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
                       sinh_ratio_log, tau_over_tanh2)
 
@@ -105,10 +105,20 @@ _DEFAULT_TOL_RESTRICTED = 1e-6
 _GUARD_RATIO = 1e6
 
 
-def _envelope_rate(d: int, z: complex, rho: float, s: float) -> float:
-    """Decay rate of the integrand envelope exp(-rate |tau|)."""
+def _strip_rate(d: int, z: complex, rho: float, s: float,
+                ell: int = 0) -> float:
+    """Rate r > 0 of the integrand's envelope exp(-r |tau|) at (rho, s)
+    and time z, with the gain 4 ell of the restricted kernels.
+
+    Raises StripViolation where r <= 0: there the integral has no
+    exponential envelope (for z = -it, outside |s| < 4 (2 ell + d) |t|)."""
     mod2 = 2.0 * (z.real * z.real + z.imag * z.imag)
-    return 2.0 * d + (rho * z.real - abs(s * z.imag)) / mod2
+    rate = 2.0 * d + (rho * z.real - abs(s * z.imag)) / mod2 + 4.0 * ell
+    if not rate > 0.0:
+        raise StripViolation(
+            "no envelope: need |s| < %g |z|, got |s| = %g at rho = %g "
+            "(rate %.3g)" % (4.0 * (2 * ell + d), abs(s), rho, rate))
+    return rate
 
 
 def _osc_panel_width(z: complex, rho: float, s: float) -> float | None:
@@ -194,19 +204,11 @@ def _integrand_values(d: int, z: complex, rho: np.ndarray, s: np.ndarray,
 
 
 def _strip_eval(qs: list, z: complex, default_tol: float,
-                ell: int | None = None) -> list:
+                ell: int = 0) -> list:
     """KernelValues of the queries qs, which share d, at one time z: one
     lockstep batch of tau integrals."""
     d = qs[0].d
-    rates = []
-    for q in qs:
-        rate = _envelope_rate(d, z, q.rho, q.s) + (4.0 * ell if ell else 0.0)
-        if rate <= 0.0:
-            band = 2.0 * (2 * (ell or 0) + d)
-            raise StripViolation(
-                "no envelope: need |s| < %g |z| at rho = %g (rate %.3g)"
-                % (2.0 * band, q.rho, rate))
-        rates.append(rate)
+    rates = [_strip_rate(d, z, q.rho, q.s, ell) for q in qs]
     pref = (4.0 * math.pi * z) ** (-(d + 1))
     rho = np.array([q.rho for q in qs])
     s = np.array([q.s for q in qs])
@@ -502,41 +504,33 @@ def dispersive_onset_time(kappa: float, r0: float, d: int = 1) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation on a fixed tau grid (batch kernel, convolution)
-
-_TAU_PROBE = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-
+# Batched evaluation on a fixed tau grid
+#
+# _unitary_tau_rule and _fixed_tau_rule give the tau grid of
+# solutions.evolve_by_convolution.  schrodinger_batch sums the unitary
+# kernel on that grid pair by pair: it is the tests' independent pair-sum
+# route and the benchmark's kernel check, and no report reaches it.
 
 def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
                       tol: float):
     """Strip check and tau rule (z, t_cut, width) of the unitary kernel
     for a batch of pairs with |s| <= smax and rho <= rho_max.
 
-    The worst-case envelope C of |integrand| exp(rate |tau|) over the
-    batch is read on a fixed ladder, the cut-off is placed where the two
-    tails of C exp(-rate |tau|) fall below tol / 2, and C is read again
-    just inside that cut-off.  width caps the Gauss panels by the phase
-    speed at the corner (rho_max, smax); where the phase is slow it is
-    min(t_cut, 16), the cap _osc_panel_width puts on fast phases too."""
+    At z = -it the integrand's modulus is at most
+    exp(L(tau) + |tau| smax / 2|t|), L = log (2 tau / sinh 2 tau)^d, so
+    with the strip rate r = 2d - smax / 2|t| the envelope tail_cutoff
+    reads is exp(L(tau) + 2d |tau|), whatever the batch.  width caps the
+    Gauss panels by the phase speed at the corner (rho_max, smax); where
+    the phase is slow it is min(t_cut, 16), the cap _osc_panel_width puts
+    on fast phases too."""
     z = complex(0.0, -t)
-    rate = 2.0 * d - smax / (2.0 * abs(t))
-    if rate <= 0.0:
-        raise StripViolation(
-            "batch point |s| = %g outside the strip 4 d |t| = %g"
-            % (smax, 4.0 * d * abs(t)))
+    rate = _strip_rate(d, z, rho_max, smax)
 
-    # the worst-case envelope of the integrand over the batch
-    def amplitude(tau):
-        at = np.abs(tau)
-        return float(np.exp(np.max(sinh_ratio_log(tau, d)
-                                   + at * smax / (2.0 * abs(t))
-                                   + rate * at)))
+    def envelope(tau):
+        return [float(np.max(np.exp(sinh_ratio_log(tau, d)
+                                    + 2.0 * d * np.abs(tau))))]
 
-    c_amp = amplitude(_TAU_PROBE)
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
-    near = t_cut * np.array([0.55, 0.75, 0.95])
-    c_amp = max(c_amp, amplitude(near))
-    t_cut = math.log(max(4.0 * c_amp / (rate * tol), 2.0)) / rate
+    _, (t_cut,) = tail_cutoff(envelope, [rate], [tol])
     width = _osc_panel_width(z, rho_max, smax) or min(t_cut, 16.0)
     return z, t_cut, width
 

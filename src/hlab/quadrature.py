@@ -3,16 +3,19 @@
 One dimensional integrals use adaptive Gauss-Kronrod (G7, K15) with
 largest-error-first bisection.  Integrals over the whole line with a known
 exponential envelope are truncated symmetrically at a point T chosen from
-the envelope, never through variable transforms.  Both engines take a
-batch of independent integrals in lockstep: each member keeps its own
-panels, running total and error, and splits exactly the panels its lone
-run splits, while one integrand call per round evaluates the new panels
-of every member still short of its tolerance.  A lone integral is the
-batch of one, and every member gets its lone run's bits.  The fixed rules are
-composite Gauss-Legendre panels (gauss_panels) and Simpson on a uniform
-axis (simpson_rule); box integrals use tensor products of the latter.
-Gauge-ball norms of functions of (|Y|^2, s) use the Simpson rule of the
-ball's radial section (radial_ball_rule), of others the clipped box.
+the envelope, never through variable transforms.  tail_cutoff is the one
+rule for T: the adaptive tail integrals read their envelope on the
+integrand itself, the fixed tau grids of the convolution on its analytic
+bound.  Both engines take a batch of independent integrals in lockstep:
+each member keeps its own panels, running total and error, and splits
+exactly the panels its lone run splits, while one integrand call per
+round evaluates the new panels of every member still short of its
+tolerance.  A lone integral is the batch of one, and every member gets
+its lone run's bits.  The fixed rules are composite Gauss-Legendre panels
+(gauss_panels) and Simpson on a uniform axis (simpson_rule); box
+integrals use tensor products of the latter.  Gauge-ball norms of
+functions of (|Y|^2, s) use the Simpson rule of the ball's radial section
+(radial_ball_rule), of others the clipped box.
 """
 
 from __future__ import annotations
@@ -272,29 +275,48 @@ def integrate_adaptive(f: Callable, a, b, tol, max_panels: int = 4000,
 _PROBE_BASE = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 
-def _cutoff(c: float, rate: float, tol: float) -> float:
-    """Truncation point T where the envelope c exp(-rate T) and its two
-    tails both fall below tol / 2."""
-    t1 = math.log(max(4.0 * c / (rate * tol), 2.0)) / rate
-    t2 = math.log(max(2.0 * c / tol, 2.0)) / rate
-    return max(t1, t2, 0.5)
+def tail_cutoff(amplitude: Callable, rates: Sequence[float],
+                tols: Sequence[float]):
+    """The truncation rule of every integral over R with an exponential
+    envelope: lists (C, T), one entry per member of a batch.
+
+    amplitude(points) returns, for points of shape (members, k), each
+    member's max of |f(tau)| exp(rate |tau|) over its row.  C is read on
+    the ladder 0, +-0.25, ..., +-16 and T placed where the envelope
+    C exp(-rate T) and the bound 2 C exp(-rate T) / rate on its two
+    tails both fall below tol / 2 (and T >= 0.5); then C is read again
+    at +-0.55, 0.75 and 0.95 T and T placed anew from the larger C."""
+
+    def cut(c, rate, tol):
+        t1 = math.log(max(4.0 * c / (rate * tol), 2.0)) / rate
+        t2 = math.log(max(2.0 * c / tol, 2.0)) / rate
+        return max(t1, t2, 0.5)
+
+    n = len(rates)
+    probes = np.concatenate([_PROBE_BASE, -_PROBE_BASE[1:]])
+    c_amp = [max(c, 1e-300) for c in amplitude(np.tile(probes, (n, 1)))]
+    t_cut = [cut(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
+    near = np.array([t * np.array([0.55, 0.75, 0.95]) for t in t_cut])
+    c_amp = [max(c, c_near) for c, c_near
+             in zip(c_amp, amplitude(np.concatenate([near, -near], axis=1)))]
+    t_cut = [cut(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
+    return c_amp, t_cut
 
 
 def integrate_exponential_tail(integrand: Integrand1D, tol,
-                               max_panel_width=None,
-                               max_panels: int = 4000):
+                               max_panel_width=None):
     """Integrate over all of R an integrand with exponential decay.
 
-    The truncation point T is chosen so the envelope bound on the discarded
-    tails is below tol/2 and the envelope itself is below tol/2 at T.
-    Returns (value, err, T) where err adds the tail bound to the quadrature
-    error.  A batch integrand (integrand.members set) takes tol and
-    max_panel_width per member too, probes every member in one call of
-    its evaluate and integrates them in one integrate_adaptive batch;
-    values, errs and T come back as arrays.  Raises EnvelopeError when a
-    member declares no positive decay rate, QuadratureError when every
-    probe of a member is NaN (the lowest-indexed such member's, before
-    any panel is split).
+    The truncation point T is tail_cutoff's, read on the integrand's own
+    values, so the envelope bound on the discarded tails is below tol/2
+    and the envelope itself is below tol/2 at T.  Returns (value, err, T)
+    where err adds the tail bound to the quadrature error.  A batch
+    integrand (integrand.members set) takes tol and max_panel_width per
+    member too, probes every member in one call of its evaluate and
+    integrates them in one integrate_adaptive batch; values, errs and T
+    come back as arrays.  Raises EnvelopeError when a member declares no
+    positive decay rate, QuadratureError when every probe of a member is
+    NaN (the lowest-indexed such member's, before any panel is split).
     """
     lone = integrand.members is None
     n = 1 if lone else int(integrand.members)
@@ -325,18 +347,10 @@ def integrate_exponential_tail(integrand: Integrand1D, tol,
             out.append(float(np.max(row)))
         return out
 
-    probes = np.concatenate([_PROBE_BASE, -_PROBE_BASE[1:]])
-    c_amp = [max(c, 1e-300) for c in amplitude(np.tile(probes, (n, 1)))]
-    t_cut = [_cutoff(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
-    near = np.array([t * np.array([0.55, 0.75, 0.95]) for t in t_cut])
-    c_amp = [max(c, c_near) for c, c_near
-             in zip(c_amp, amplitude(np.concatenate([near, -near], axis=1)))]
-    t_cut = [_cutoff(c, r, t) for c, r, t in zip(c_amp, rates, tols)]
-
+    c_amp, t_cut = tail_cutoff(amplitude, rates, tols)
     values, qerr = integrate_adaptive(
         f, [-t for t in t_cut], t_cut, [0.5 * t for t in tols],
-        max_panels=max_panels, max_panel_width=max_panel_width,
-        breakpoints=(0.0,), members=n)
+        max_panel_width=max_panel_width, breakpoints=(0.0,), members=n)
     errs = [q + 2.0 * c * math.exp(-r * t) / r
             for q, c, r, t in zip(qerr, c_amp, rates, t_cut)]
     if lone:

@@ -11,9 +11,11 @@ Two families of initial data:
   * fourier.bump_profile: a smooth compactly supported radial bump
     (dispersive decay experiments).
 
-Each solution can be computed three ways: the exact integral (value), the
-grid transform route (spectral_coefficients, then synthesize at time t), and
-group convolution of the initial data against the flow kernel.
+LineData is computed two ways: the exact integral (value, and
+value_adaptive as the independent route) and the grid transform route
+(spectral_coefficients, then synthesize at time t).  The bump is evolved
+by group convolution against the flow kernel (evolve_by_convolution) and
+by the transform route.
 
 The convolution sums over tau nodes and a Simpson rule in (|Y_v|^2, s_v)
 of the source: at each tau node the kernel's average over a horizontal
@@ -201,44 +203,6 @@ class LineData:
         values[self.ell, :] = const * self.density(np.abs(grid))
         return SpectralCoefficients(d=self.d, lambda_grid=grid,
                                     weights=weights, values=values)
-
-    def time_zero_trace(self) -> RadialFunction:
-        """The initial data as a RadialFunction with scanned honest supports."""
-        if "trace" not in self._cache:
-            peak = abs(self.value(0.0, 0.0, 0.0))
-            floor = 0.5e-12 * max(1.0, peak)
-            a, b = self.band
-            mu, wm = gauss_panels(a, b, 16, 24)
-            gv = self.density(mu) * mu ** self.d * wm
-
-            def radial_bound(rho):
-                lag = laguerre_table(self.ell, self.d - 1.0,
-                                     2.0 * rho * mu)[self.ell]
-                return float(np.sum(gv * np.exp(-rho * mu) * np.abs(lag)))
-
-            rho_sup = 1.0
-            while radial_bound(rho_sup) > floor:
-                rho_sup *= 1.3
-                if rho_sup > 1e5:
-                    raise RuntimeError("radial support scan ran away")
-
-            rho_scan = np.linspace(0.0, rho_sup, 48)
-            s_sup = 1.0
-            below = 0
-            while below < 3:
-                vals = self.value(0.0, rho_scan, np.full_like(rho_scan, s_sup))
-                vneg = self.value(0.0, rho_scan, np.full_like(rho_scan, -s_sup))
-                m = max(float(np.max(np.abs(vals))),
-                        float(np.max(np.abs(vneg))))
-                below = below + 1 if m < floor else 0
-                s_sup *= 1.18
-                if s_sup > 1e6:
-                    raise RuntimeError(
-                        "vertical support scan ran away; density too rough")
-            self._cache["trace"] = RadialFunction(
-                profile=lambda r, s: self.value(0.0, r, s),
-                support_rho=rho_sup, support_s=s_sup, d=self.d)
-        return self._cache["trace"]
 
 
 @dataclass

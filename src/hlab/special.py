@@ -166,11 +166,6 @@ def laguerre_table(ell_max: int, alpha: float, x) -> np.ndarray:
     return out
 
 
-def laguerre_at_zero(ell: int, alpha: int) -> float:
-    """L_ell^(alpha)(0) = C(ell + alpha, ell) for integer alpha >= 0."""
-    return float(math.comb(ell + int(alpha), ell))
-
-
 def laguerre_generating_closed(r, x, alpha: float):
     """Closed form of sum_k r^k L_k^(alpha)(x), valid for |r| < 1."""
     r = np.asarray(r, dtype=float)

@@ -1,5 +1,6 @@
 """Command line harness: parsing, exit codes, streams."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sysconfig
 
 import pytest
 
+import hlab
 from hlab import experiments
 from hlab.cli import _parse_times, build_config, main
 from hlab.experiments import ConfigError, ExperimentConfig, ExperimentReport
@@ -233,3 +235,27 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema=1\n")
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from hlab.cli import main
+from hlab.experiments import CATALOG, READS
+for name in sorted(CATALOG):
+    argv = [name] + (["--fast"] if "fast" in READS[name] else [])
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_reports_import_no_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(hlab.__file__))]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

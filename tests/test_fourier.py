@@ -11,9 +11,8 @@ import pytest
 from hlab import fourier
 from hlab.fourier import (FrequencyPoint, RadialFunction,
                           SpectralCoefficients, analyze, bump_profile,
-                          default_lambda_grid, evolve_heat,
-                          evolve_schrodinger, forward_coefficient,
-                          multiplicity, single_sign_lambda_grid,
+                          default_lambda_grid, evolve_schrodinger,
+                          forward_coefficient, multiplicity, single_sign_lambda_grid,
                           spatial_norm_sq, spectral_norm_sq, symbol,
                           synthesize, wigner_radial, sublaplacian_fd)
 from hlab.group import GroupPoint
@@ -390,9 +389,6 @@ def test_unitary_flow_conserves_spectral_mass():
     for t in (1e-3, 0.37, 12.0):
         assert spectral_norm_sq(evolve_schrodinger(c, t)) == pytest.approx(
             n0, rel=1e-14)
-    assert spectral_norm_sq(evolve_heat(c, 0.25)) < n0
-    with pytest.raises(ValueError):
-        evolve_heat(c, -1e-6)
 
 
 def test_flow_multipliers_act_blockwise():
@@ -404,9 +400,6 @@ def test_flow_multipliers_act_blockwise():
     for ell in range(3):
         want = c.values[ell, j] * np.exp(4j * t * abs(lam) * (2 * ell + 1))
         assert ev.values[ell, j] == pytest.approx(want, rel=1e-13)
-    hv = evolve_heat(c, 0.05)
-    want = c.values[1, j] * math.exp(-4.0 * 0.05 * abs(lam) * 3)
-    assert hv.values[1, j] == pytest.approx(want, rel=1e-13)
 
 
 def _synthesize_reference(c, rho, s, t):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlab.group import (GroupPoint, dilate, distance, homogeneous_dimension,
-                        identity, in_ball, inverse, koranyi_norm,
+                        identity, inverse, koranyi_norm,
                         koranyi_norm_arrays, left_translate, product,
                         product_arrays, random_point)
 from hlab.quadrature import lp_norm_on_ball_radial
@@ -107,14 +107,6 @@ def test_ball_volume_scales_like_radius_to_Q():
     assert vols[1.0] == pytest.approx(np.pi ** 2 / 2.0, rel=2e-3)
     assert vols[2.0] / vols[1.0] == pytest.approx(2.0 ** q, rel=2e-3)
     assert vols[0.5] / vols[1.0] == pytest.approx(0.5 ** q, rel=2e-3)
-
-
-def test_in_ball_matches_distance():
-    ws = _points(19)
-    us = _points(20)
-    for w, u in zip(ws, us):
-        assert in_ball(u, w, distance(w, u) + 1e-9)
-        assert not in_ball(u, w, distance(w, u) - 1e-9)
 
 
 def test_array_ops_match_scalar_ops():

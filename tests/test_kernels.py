@@ -17,7 +17,7 @@ from hlab.kernels import (BudgetExhausted, KernelQuery, StripViolation,
                           kernel_complex_time, restricted_kernel,
                           schrodinger_batch, schrodinger_kernel,
                           series_term_closed, series_term_quadrature)
-from hlab.quadrature import gauss_panels
+from hlab.quadrature import gauss_panels, tail_cutoff
 from hlab.special import (TruncationBudget, laguerre_table, sinh_ratio_log,
                           tau_over_tanh2)
 
@@ -492,3 +492,51 @@ def test_fixed_tau_rule_is_mirrored_with_an_edge_at_zero():
         pos, wpos = gauss_panels(0.0, t_cut, math.ceil(t_cut / width), 16)
         np.testing.assert_array_equal(tau[tau.size // 2:], pos)
         np.testing.assert_array_equal(w[w.size // 2:], wpos)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unitary_tau_rule_meets_the_tail_contract(d, monkeypatch):
+    # The convolution's cut-off is quadrature.tail_cutoff's: for the
+    # envelope C it read, T holds integrate_exponential_tail's contract,
+    # both tails 2 C exp(-r T) / r and the envelope C exp(-r T) at T
+    # below tol / 2.
+    read = []
+
+    def spy(amplitude, rates, tols):
+        c_amp, t_cut = tail_cutoff(amplitude, rates, tols)
+        read.append(c_amp[0])
+        return c_amp, t_cut
+
+    monkeypatch.setattr(kernels, "tail_cutoff", spy)
+    ladder = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    for t, smax in ((1.0, 2.0), (1.5, 3.2), (4.0, 12.0), (0.5, 0.3)):
+        for tol in (1e-6, 1e-8):
+            _, t_cut, _ = kernels._unitary_tau_rule(d, t, smax, 1.0, tol)
+            c_amp = read.pop()
+            r = 2.0 * d - smax / (2.0 * t)
+            assert 2.0 * c_amp * math.exp(-r * t_cut) / r <= 0.5 * tol * (
+                1.0 + 1e-12)
+            assert c_amp * math.exp(-r * t_cut) <= 0.5 * tol * (1.0 + 1e-12)
+            # C is read on |integrand| exp(r |tau|) <= (2 tau e^(2 tau)
+            # / sinh 2 tau)^d, which grows with |tau|
+            env = (2.0 * ladder / np.sinh(2.0 * ladder)
+                   * np.exp(2.0 * ladder)) ** d
+            assert c_amp >= np.max(env) * (1.0 - 1e-12)
+
+
+def test_strip_violations_carry_the_one_message():
+    z = complex(0.0, -1.0)
+    for raise_it, args in (
+            (lambda: schrodinger_kernel(KernelQuery(t_or_z=1.0, rho=0.3,
+                                                    s=4.5)), (z, 0.3, 4.5)),
+            (lambda: restricted_kernel(1, KernelQuery(t_or_z=1.0, rho=0.3,
+                                                      s=-12.5)),
+             (z, 0.3, -12.5, 1)),
+            (lambda: schrodinger_batch(1, 1.0, [0.3, 0.1], [4.5, -1.0]),
+             (z, 0.3, 4.5))):
+        with pytest.raises(StripViolation) as got:
+            raise_it()
+        with pytest.raises(StripViolation) as want:
+            kernels._strip_rate(1, *args)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("no envelope: need |s| < ")

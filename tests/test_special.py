@@ -7,10 +7,9 @@ import pytest
 from scipy import integrate, special as sps
 
 from hlab.special import (TruncationBudget, hermite_fn, hermite_fn_scaled,
-                          hermite_table, laguerre, laguerre_at_zero,
-                          laguerre_generating_closed, laguerre_table,
-                          mehler_closed, mehler_heat_closed, sinh_ratio_log,
-                          tau_over_tanh2)
+                          hermite_table, laguerre, laguerre_generating_closed,
+                          laguerre_table, mehler_closed, mehler_heat_closed,
+                          sinh_ratio_log, tau_over_tanh2)
 
 
 def _hermite_ref(m, x):
@@ -80,13 +79,6 @@ def test_laguerre_table_matches_rows():
             assert table.dtype == x.dtype
             for ell in (0, 1, 2, 3, 11, 30):
                 assert np.array_equal(table[ell], laguerre(ell, alpha, x))
-
-
-def test_laguerre_at_zero():
-    for ell in (0, 3, 25):
-        for alpha in (0, 1, 2):
-            assert laguerre_at_zero(ell, alpha) == sps.comb(
-                ell + alpha, ell, exact=True)
 
 
 def test_laguerre_generating_function():
