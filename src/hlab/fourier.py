@@ -12,8 +12,9 @@ Only the vertical character exp(i s lam) tells lam from -lam, so both
 directions work on the distinct |lam|: analyze takes real cosine and sine
 transforms there and unfolds them onto the signed grid, and synthesize
 folds each coefficient row into an even and an odd row there, applies the
-unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them and sums both
-against one Laguerre sweep.  Every real part that is identically zero is
+unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them, one complex
+product per ell by angle addition, and sums both against one Laguerre
+sweep.  Every real part that is identically zero is
 skipped on either side.
 """
 
@@ -367,11 +368,15 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     depends on |lam| only, so each ell row is folded onto the distinct
     |lam|: an even row E = w+ c+ + w- c- and an odd row O = w+ c+ - w- c-,
     with w the weight times |lam|^d and a sign missing from the grid
-    counted as 0.  Both rows take the flow's phase.  Each real component
-    of E and O that is not identically zero is summed over ell against
-    one Laguerre sweep over (points, distinct |lam|); the bump on a
-    mirrored grid has O = 0 exactly and skips it.  The |lam| sum against
-    exp(-|lam| rho) cos(s |lam|) (E) and sin(s |lam|) (O) closes it.
+    counted as 0.  Both rows take the flow's phase by angle addition:
+    with beta = 4 t |lam|, exp(i beta d) at ell = 0, then one product by
+    exp(2 i beta) per row.  That is two complex exponentials over |lam|
+    in all, and the products add a rounding that grows like ell eps.
+    Each real component of E and O that is not identically zero is
+    summed over ell against one Laguerre sweep over (points, distinct
+    |lam|); the bump on a mirrored grid has O = 0 exactly and skips it.
+    The |lam| sum against exp(-|lam| rho) cos(s |lam|) (E) and
+    sin(s |lam|) (O) closes it.
     """
     d = c.d
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, dtype=float),
@@ -386,7 +391,8 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     wl = c.weights * np.abs(lam) ** d
     n_neg = int(np.count_nonzero(lam < 0.0))      # lam is sorted
     beta = 4.0 * float(t) * nodes
-    phase = np.empty(nodes.size, dtype=complex)
+    phase = np.exp(1j * d * beta)
+    step = np.exp(2j * beta)
     # parts[(odd?, imaginary?)]: the rows of one real component, allocated
     # at its first nonzero row, so a component that is identically zero
     # costs neither memory nor sweep time
@@ -397,10 +403,8 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
         minus = np.zeros(nodes.size, dtype=complex)
         minus[inv[:n_neg]] = wc[:n_neg]
         plus[inv[n_neg:]] = wc[n_neg:]
-        # exp(i angle) by the real cosine and sine, which numpy vectorizes
-        angle = beta * (2 * ell + d)
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
+        if ell:
+            phase *= step
         for odd, folded in ((False, plus + minus), (True, plus - minus)):
             if not np.any(folded):
                 continue

@@ -366,13 +366,18 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _panel_mids(a: float, b: float, n_panels: int):
+    """Midpoints and common half-width of n_panels equal panels on [a, b]:
+    gauss_panels puts node k of panel p at mids[p] + half * x_k."""
+    edges = np.linspace(a, b, n_panels + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+
+
 def gauss_panels(a: float, b: float, n_panels: int, per_panel: int):
     """Composite Gauss-Legendre rule: n_panels equal panels on [a, b],
     per_panel nodes each.  Returns (nodes, weights), ascending."""
     x, w = _leggauss(per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
+    mids, half = _panel_mids(a, b, n_panels)
     nodes = (mids[:, None] + half * x[None, :]).reshape(-1)
     weights = np.broadcast_to(half * w[None, :],
                               (n_panels, per_panel)).reshape(-1)

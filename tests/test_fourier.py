@@ -428,7 +428,13 @@ def _synthesis_case(case):
     """Coefficients of one synthesis case: the plain-loop profiles on
     their grids (1: the bump, odd row exactly 0; "shifted" and "complex":
     every component; 2: d = 2 on one sign), a grid on which some |lam|
-    has one sign only, and a LineData line (one sign, real rows)."""
+    has one sign only, a LineData line (one sign, real rows), and the
+    bump at ell_max = 48 on 4002 lam up to |lam| = 40, where the flow's
+    phase turns up to 4 t 40 (2 ell_max + 1) = 38800 rad at t = 2.5."""
+    if case == "high-ell":
+        grid, w = default_lambda_grid(5e-4, 40.0, n_per_sign=2001)
+        return analyze(bump_profile(1.0), ell_max=48, lambda_grid=grid,
+                       lambda_weights=w, n_rho=64, n_s=65)
     if case == "line":
         return LineData(ell=2, lambda_sign=-1, band=(0.6, 3.1)
                         ).spectral_coefficients(n=129)
@@ -440,10 +446,12 @@ def _synthesis_case(case):
                    n_rho=16, n_s=24)
 
 
-@pytest.mark.parametrize("t", [0.0, 0.7])
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.5])
 @pytest.mark.parametrize("case", [1, 2, "shifted", "complex", "one-sided",
-                                  "line"])
+                                  "line", "high-ell"])
 def test_synthesize_matches_plain_loop(case, t, monkeypatch):
+    # the reference takes each row's phase by a direct exponential, so
+    # at high ell and long t this checks the angle addition for drift
     c = _synthesis_case(case)
     rho = np.array([0.0, 0.3, 1.1, 2.5, 0.05, 4.0, 0.7])
     s = np.array([0.0, -0.7, 2.0, -3.1, 5.5, 0.4, -1.9])

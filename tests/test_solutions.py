@@ -15,11 +15,13 @@ from hlab.kernels import (KernelQuery, StripViolation, schrodinger_batch,
                           schrodinger_kernel)
 from hlab import solutions
 from hlab.quadrature import (GridSpec, _flatten_grid, ball_box,
-                             integrate_adaptive, lp_norm_on_ball,
-                             lp_norm_on_ball_radial, radial_ball_rule)
+                             gauss_panels, integrate_adaptive,
+                             lp_norm_on_ball, lp_norm_on_ball_radial,
+                             radial_ball_rule)
 from hlab.solutions import (ConcentrationProbe, LineData,
                             concentration_probe, evolve_by_convolution,
                             hyperplane_decay_exponent)
+from hlab.special import laguerre_table
 
 
 def test_line_data_validation():
@@ -80,6 +82,42 @@ def test_adaptive_values_batch_with_lone_bits():
         lone = [data.value_adaptive(3.0, r, x) for r, x in zip(rho, s)]
         assert isinstance(lone[0], complex)
         assert batch.tobytes() == np.array(lone).tobytes()
+
+
+def _value_direct(data, t, rho, s):
+    """value_with_floor's sum on the same mu rule, with the phase
+    exp(i omega mu) taken directly at every (point, node); and the rule's
+    panel count."""
+    rho, s = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                 np.asarray(s, dtype=float))
+    a, b = data.band
+    omega = data.lambda_sign * s + data.drift(t)
+    n_panels = max(11, math.ceil(np.max(np.abs(omega)) * (b - a)
+                                 / (6.0 * math.pi)))
+    mu, wm = gauss_panels(a, b, n_panels, 24)
+    lag = laguerre_table(data.ell, data.d - 1.0,
+                         2.0 * np.outer(rho, mu))[data.ell]
+    terms = (np.exp(1j * np.outer(omega, mu) - np.outer(rho, mu)) * lag
+             * data.density(mu) * mu ** data.d * wm)
+    return terms.sum(axis=1), n_panels
+
+
+@pytest.mark.parametrize("profile", ["bump", "hat"])
+def test_factored_phase_matches_the_direct_one(profile):
+    # unsorted and repeated rho in one call; |omega| (b - a) reaches
+    # about 1600, so the rule takes 84 panels rather than the minimum 11
+    data = LineData(ell=2, lambda_sign=-1, d=2, band=(0.6, 3.1),
+                    profile=profile)
+    rho = np.array([1.1, 0.0, 0.4, 1.1, 2.5, 0.0, 0.4, 0.05])
+    s = np.array([0.0, 30.0, -5.0, 700.0, 47.0, -12.0, 350.0, 55.0])
+    got, floor = data.value_with_floor(3.0, rho, s)
+    want, n_panels = _value_direct(data, 3.0, rho, s)
+    assert n_panels == 84
+    assert np.all(np.abs(got - want) <= floor)
+    # and the floor is no blanket: near the hyperplane it stays below
+    # 1e-7 of the values
+    near = np.abs(s - data.concentration_point(3.0)) < 50.0
+    assert np.all(floor[near] < 1e-7 * np.abs(want[near]))
 
 
 def test_value_broadcast_and_scalar_forms():
@@ -364,9 +402,28 @@ print(hashlib.sha256(vals.tobytes() + np.float64(err).tobytes()).hexdigest())
 """
 
 
-def test_convolution_bits_do_not_depend_on_blas_threads():
-    # the source sum is a real BLAS product; on the bump's table, whose
-    # edge column is zero, it rounds the same with one thread or many
+_LINE_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from hlab.solutions import LineData
+out = b""
+for profile in ("hat", "bump"):
+    data = LineData(profile=profile)
+    # hyperplane_decay_exponent's farthest window at t = 1.7
+    local = 4096.0 * np.linspace(0.82, 1.22, 161)
+    vals, floor = data.value_with_floor(
+        1.7, np.zeros_like(local), data.concentration_point(1.7) + local)
+    out += vals.tobytes() + floor.tobytes()
+    # a batch of distinct rho, as the transport rows pass it
+    rng = np.random.default_rng(5)
+    vals, floor = data.value_with_floor(0.0, rng.uniform(0.0, 3.0, 20),
+                                        rng.uniform(-8.0, 8.0, 20) + 6.8)
+    out += vals.tobytes() + floor.tobytes()
+print(hashlib.sha256(out).hexdigest())
+"""
+
+
+def _digests_under_blas_threads(script):
+    """stdout of script run under the default BLAS threads and under one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(solutions.__file__))]
@@ -378,8 +435,21 @@ def test_convolution_bits_do_not_depend_on_blas_threads():
                 env.pop(key, None)
             else:
                 env[key] = threads
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+        proc = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True,
                               check=True)
         digests.append(proc.stdout)
+    return digests
+
+
+def test_convolution_bits_do_not_depend_on_blas_threads():
+    # the source sum is a real BLAS product; on the bump's table, whose
+    # edge column is zero, it rounds the same with one thread or many
+    digests = _digests_under_blas_threads(_THREADS_SCRIPT)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
+def test_line_data_bits_do_not_depend_on_blas_threads():
+    # value_with_floor sums by einsum only, no BLAS product
+    digests = _digests_under_blas_threads(_LINE_THREADS_SCRIPT)
     assert len(digests[0]) == 65 and digests[0] == digests[1]
