@@ -537,11 +537,14 @@ def sublaplacian_fd(f: Callable, w: GroupPoint, h: float = 1e-3):
 # ---------------------------------------------------------------------------
 # Stock profiles
 
-def bump_profile(r0: float, amplitude: float = 1.0) -> RadialFunction:
-    """Smooth compactly supported radial bump, peak value `amplitude`.
+def bump_profile(r0: float, d: int = 1,
+                 amplitude: float = 1.0) -> RadialFunction:
+    """Smooth compactly supported radial bump on H^d, peak value
+    `amplitude`.
 
     profile = amplitude * exp(-q / (1 - q)) with q = (rho^2 + s^2) / r0^4,
-    identically zero for q >= 1.  Supports are exactly r0^2 on both axes.
+    identically zero for q >= 1.  Supports are exactly r0^2 on both axes;
+    the profile does not depend on d.
     """
     r0 = float(r0)
     if r0 <= 0.0:
@@ -561,4 +564,4 @@ def bump_profile(r0: float, amplitude: float = 1.0) -> RadialFunction:
         return float(out[0]) if scalar else out
 
     return RadialFunction(profile=profile, support_rho=r0 ** 2,
-                          support_s=r0 ** 2, d=1)
+                          support_s=r0 ** 2, d=d)

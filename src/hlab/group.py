@@ -108,27 +108,3 @@ def random_point(rng: np.random.Generator, d: int = 1,
     s = scale * scale * rng.uniform(-4.0, 4.0)
     return GroupPoint(y, eta, s)
 
-
-# ---------------------------------------------------------------------------
-# Array versions used by the grid-based routines.  Shapes: y, eta are (N, d)
-# or (d,), s is (N,) or scalar; broadcasting follows numpy rules on the
-# leading axis.
-
-def product_arrays(y1, eta1, s1, y2, eta2, s2):
-    """Componentwise group product on stacked coordinates."""
-    y1 = np.atleast_2d(np.asarray(y1, dtype=float))
-    eta1 = np.atleast_2d(np.asarray(eta1, dtype=float))
-    y2 = np.atleast_2d(np.asarray(y2, dtype=float))
-    eta2 = np.atleast_2d(np.asarray(eta2, dtype=float))
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    twist = 2.0 * (np.sum(eta1 * y2, axis=-1) - np.sum(eta2 * y1, axis=-1))
-    return y1 + y2, eta1 + eta2, s1 + s2 + twist
-
-
-def koranyi_norm_arrays(y, eta, s):
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    s = np.asarray(s, dtype=float)
-    r2 = np.sum(y * y, axis=-1) + np.sum(eta * eta, axis=-1)
-    return (r2 * r2 + s * s) ** 0.25

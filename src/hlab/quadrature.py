@@ -15,7 +15,7 @@ its lone run's bits.  The fixed rules are composite Gauss-Legendre panels
 (gauss_panels) and Simpson on a uniform axis (simpson_rule); box
 integrals use tensor products of the latter.  Gauge-ball norms of
 functions of (|Y|^2, s) use the Simpson rule of the ball's radial section
-(radial_ball_rule), of others the clipped box.
+(radial_ball_rule) and one norm formula on it (radial_ball_norms).
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .group import GroupPoint, koranyi_norm_arrays, product_arrays
 
 
 class QuadratureError(Exception):
@@ -428,72 +426,16 @@ def grid_nodes_weights(spec: GridSpec):
     return nodes, weights
 
 
-def _flatten_grid(spec: GridSpec):
-    """Stacked coordinates (N, k) and combined weights (N,)."""
-    nodes, weights = grid_nodes_weights(spec)
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for wm in wmesh:
-        w = w * wm.reshape(-1)
-    return pts, w
-
-
 # ---------------------------------------------------------------------------
 # Gauge-ball norms
-
-def ball_box(radius: float, d: int = 1, n_horizontal: int = 64,
-             n_vertical: int | None = None) -> GridSpec:
-    """Bounding box of the gauge ball of given radius, centered at 0."""
-    r = float(radius)
-    if n_vertical is None:
-        n_vertical = n_horizontal
-    axes = [(-r, r, n_horizontal)] * (2 * d) + [(-r * r, r * r, n_vertical)]
-    return GridSpec(tuple(axes))
-
-
-def lp_norm_on_ball(f: Callable, p: float, center: GroupPoint, radius: float,
-                    spec: GridSpec, vectorized: bool = False) -> float:
-    """L^p norm of f over the gauge ball around center.
-
-    spec describes the box in ball-centered coordinates v; the actual
-    evaluation points are center . v for the nodes v inside the ball only.
-    Membership is strict.  p may be any value >= 1 or inf (grid max of |f|).
-    """
-    k = len(spec.axes)
-    if k % 2 != 1 or k < 3:
-        raise ValueError("expected axes (y_1..y_d, eta_1..eta_d, s)")
-    d = (k - 1) // 2
-    if d != center.d:
-        raise ValueError("grid dimension does not match the center point")
-    pts, w = _flatten_grid(spec)
-    vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
-    gauge = koranyi_norm_arrays(vy, veta, vs)
-    mask = gauge < float(radius)
-    if not np.any(mask):
-        raise QuadratureError("no grid nodes fall inside the ball")
-    ay, aeta, as_ = product_arrays(center.y, center.eta, center.s,
-                                   vy[mask], veta[mask], vs[mask])
-    if vectorized:
-        vals = np.asarray(f(ay, aeta, as_))
-    else:
-        vals = np.array([f(GroupPoint(ay[i], aeta[i], as_[i]))
-                         for i in range(as_.shape[0])])
-    mags = np.abs(vals)
-    if np.isinf(p):
-        return float(np.max(mags))
-    if p < 1.0:
-        raise ValueError("p must be >= 1 or inf")
-    return float((np.sum(w[mask] * mags ** p)) ** (1.0 / p))
-
 
 def radial_ball_rule(radius: float, d: int = 1, n_rho: int = 129,
                      n_s: int = 257):
     """Simpson nodes (rho, s) = (|Y|^2, s) of the half-disk rho >= 0,
     rho^2 + s^2 < radius^4 (strict), and weights w = Simpson * rho^(d-1):
     a radial f integrates over the origin-centered gauge ball to
-    (pi^d / (d-1)!) sum w f(rho, s), the constant left to the caller."""
+    (pi^d / (d-1)!) sum w f(rho, s), the constant radial_ball_norms
+    applies."""
     r2 = float(radius) ** 2
     rho, wr = simpson_rule(0.0, r2, n_rho)
     s, ws = simpson_rule(-r2, r2, n_s)
@@ -505,19 +447,18 @@ def radial_ball_rule(radius: float, d: int = 1, n_rho: int = 129,
     return R[mask], S[mask], wgt[mask]
 
 
-def lp_norm_on_ball_radial(profile: Callable, p: float, radius: float,
-                           d: int = 1, n_rho: int = 129,
-                           n_s: int = 257) -> float:
-    """L^p norm over the origin-centered gauge ball of a radial function.
-
-    profile(rho, s) takes |Y|^2 and s (numpy arrays); the nodes and
-    weights are those of radial_ball_rule.
-    """
-    rho, s, w = radial_ball_rule(radius, d, n_rho, n_s)
-    vals = np.abs(np.asarray(profile(rho, s)))
-    if np.isinf(p):
-        return float(np.max(vals))
-    if p < 1.0:
-        raise ValueError("p must be >= 1 or inf")
+def radial_ball_norms(values, w, d: int, ps) -> list:
+    """L^p norms over the gauge ball, one per p in ps, of a radial
+    function whose values sit at the nodes of radial_ball_rule with its
+    weights w; p = inf gives max |values|, else p >= 1."""
+    mags = np.abs(np.asarray(values))
     const = math.pi ** d / math.factorial(d - 1)
-    return float((const * np.sum(w * vals ** p)) ** (1.0 / p))
+    norms = []
+    for p in ps:
+        if np.isinf(p):
+            norms.append(float(np.max(mags)))
+        elif p < 1.0:
+            raise ValueError("p must be >= 1 or inf")
+        else:
+            norms.append(float((const * np.sum(w * mags ** p)) ** (1.0 / p)))
+    return norms

@@ -1,11 +1,17 @@
 """The benchmark's per-layer spans name functions that exist in hlab.
 
 bench/spans.py wraps hlab functions by module path and attribute name;
-a rename or deletion inside hlab would otherwise surface only when the
-benchmark runs."""
+a rename or deletion inside hlab, or a changed signature that a span's
+counter reads, would otherwise surface only when the benchmark runs."""
 
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import hlab
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -20,3 +26,30 @@ def test_traced_names_resolve_to_callables(monkeypatch):
     for name, module, cls, method in spans.TRACED_METHODS:
         owner = getattr(importlib.import_module(module), cls, None)
         assert callable(getattr(owner, method, None)), name
+
+
+_TRACED_RUN_SCRIPT = """
+import contextlib, io, json, sys
+import hlab.cli
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hlab.cli.main(["dispersion", "--fast"])
+print(json.dumps({"exit": code, "counts": tracer.raw()["counts"]}))
+"""
+
+
+def test_traced_report_runs_and_counts():
+    # the counters read each traced call's arguments, so a signature
+    # change inside hlab breaks a traced run even where the names resolve
+    src = pathlib.Path(hlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(BENCH)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN_SCRIPT],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["counts"]["solutions.evolve_by_convolution.pairs"] > 0

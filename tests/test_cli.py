@@ -91,9 +91,14 @@ def test_main_config_errors(capsys):
         (["strichartz-window", "--fast", "--kappa", "0"], "must be positive"),
         (["kernel-consistency", "--fast", "--kappa", "0"],
          "must be positive"),
-        (["dispersion", "--d", "2", "--fast"], "only at d = 1"),
-        (["strichartz-window", "--d", "2", "--fast"], "only at d = 1"),
         (["kernel-consistency", "--d", "2", "--fast"], "only at d = 1"),
+        (["heat-equiv", "--t", "nan"], "t must be finite, got nan"),
+        (["restricted-sweep", "--t", "nan"], "t must be finite"),
+        (["concentrate", "--t", "inf"], "t must be finite, got inf"),
+        (["kernel-consistency", "--fast", "--t", "nan"], "t must be finite"),
+        (["dispersion", "--fast", "--kappa", "nan"],
+         "kappa must be finite, got nan"),
+        (["mkappa", "--R0", "nan"], "R0 must be finite, got nan"),
         (["dispersion", "--fast", "--t", "5"], "at least 3 strictly"),
         (["strichartz-window", "--fast", "--t", "32,16,8,4"],
          "at least 3 strictly"),
@@ -106,6 +111,21 @@ def test_main_config_errors(capsys):
         assert out == ""
         assert err.startswith("hlab: ")
         assert needle in err
+    # an infinite R0 puts the onset time, which the default times of
+    # dispersion double past, at infinity
+    with pytest.raises(ConfigError, match="R0 must be finite, got inf"):
+        build_config(["dispersion", "--fast", "--R0", "inf"]).validate()
+
+
+@pytest.mark.parametrize("report", ["dispersion", "strichartz-window"])
+def test_bump_reports_run_at_d2(report, capsys):
+    # the bump's profile does not depend on d, so the convolution reports
+    # take it on H^2 as they do on H^1
+    code = main([report, "--d", "2", "--fast"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "\n# d=2\n" in out
+    assert err.endswith("rows pass -> PASS\n")
 
 
 def test_times_a_report_would_drop_are_refused(capsys):

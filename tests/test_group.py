@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hlab.group import (GroupPoint, dilate, distance, homogeneous_dimension,
-                        identity, inverse, koranyi_norm,
-                        koranyi_norm_arrays, left_translate, product,
-                        product_arrays, random_point)
-from hlab.quadrature import lp_norm_on_ball_radial
+                        identity, inverse, koranyi_norm, left_translate,
+                        product, random_point)
+from hlab.quadrature import radial_ball_norms, radial_ball_rule
 
 N_CASES = 1000
 
@@ -101,31 +100,11 @@ def test_ball_volume_scales_like_radius_to_Q():
     assert q == 4
     vols = {}
     for radius in (0.5, 1.0, 2.0):
-        vols[radius] = lp_norm_on_ball_radial(
-            lambda rho, s: np.ones(np.broadcast(rho, s).shape), 1.0,
-            radius, 1, 257, 257)
+        _, _, w = radial_ball_rule(radius, 1, 257, 257)
+        vols[radius] = radial_ball_norms(np.ones_like(w), w, 1, (1.0,))[0]
     assert vols[1.0] == pytest.approx(np.pi ** 2 / 2.0, rel=2e-3)
     assert vols[2.0] / vols[1.0] == pytest.approx(2.0 ** q, rel=2e-3)
     assert vols[0.5] / vols[1.0] == pytest.approx(0.5 ** q, rel=2e-3)
-
-
-def test_array_ops_match_scalar_ops():
-    ws = _points(21)
-    us = _points(22)
-    y1 = np.stack([w.y for w in ws])
-    e1 = np.stack([w.eta for w in ws])
-    s1 = np.array([w.s for w in ws])
-    y2 = np.stack([u.y for u in us])
-    e2 = np.stack([u.eta for u in us])
-    s2 = np.array([u.s for u in us])
-    py, pe, ps = product_arrays(y1, e1, s1, y2, e2, s2)
-    norms = koranyi_norm_arrays(y1, e1, s1)
-    for i, (w, u) in enumerate(zip(ws, us)):
-        ref = product(w, u)
-        assert np.allclose(py[i], ref.y)
-        assert np.allclose(pe[i], ref.eta)
-        assert ps[i] == pytest.approx(ref.s, rel=1e-13, abs=1e-13)
-        assert norms[i] == pytest.approx(koranyi_norm(w), rel=1e-13)
 
 
 def test_d2_points_work_too():

@@ -9,12 +9,12 @@ import pytest
 from scipy import integrate as sci_integrate
 
 from hlab import kernels
-from hlab.group import GroupPoint, identity, inverse, product
+from hlab.fourier import bump_profile
 from hlab.quadrature import (EnvelopeError, GridSpec, Integrand1D,
                              QuadratureError, QuadratureNonConvergence,
-                             ball_box, gauss_panels, grid_nodes_weights,
+                             gauss_panels, grid_nodes_weights,
                              integrate_adaptive, integrate_exponential_tail,
-                             lp_norm_on_ball, lp_norm_on_ball_radial)
+                             radial_ball_norms, radial_ball_rule)
 
 
 def test_panel_rule_is_exact_on_constants():
@@ -259,38 +259,42 @@ def test_gauss_panels_exact_to_degree_2n_minus_1():
     assert abs(w @ x ** 6 - 2.0 / 7.0) > 1e-2
 
 
+def _gauss(a, b, panels, n):
+    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
 def test_ball_norms_radial_vs_general():
-    # radial profile evaluated through both code paths
-    profile = lambda rho, s: np.exp(-rho - 0.3 * s * s)
-    f = lambda y, eta, s: np.exp(
-        -(np.sum(y * y, axis=-1) + np.sum(eta * eta, axis=-1)) - 0.3 * s * s)
-    radius = 1.3
-    spec = ball_box(radius, d=1, n_horizontal=81, n_vertical=81)
-    for p in (1.0, 2.0, 4.0):
-        a = lp_norm_on_ball(f, p, identity(1), radius, spec, vectorized=True)
-        b = lp_norm_on_ball_radial(profile, p, radius, 1, 257, 513)
-        assert a == pytest.approx(b, rel=2e-3)
-    a = lp_norm_on_ball(f, np.inf, identity(1), radius, spec, vectorized=True)
-    assert a == pytest.approx(1.0, rel=1e-6)
+    # The bump in q = (rho^2 + s^2) / r0^4 on a ball that holds its
+    # support: in polar coordinates (rho, s) = r (cos phi, sin phi) of
+    # the half-disk, rho^(d-1) d(rho) ds = r^d cos^(d-1)(phi) dr d(phi),
+    # so the exact norm is a 1-D integral,
+    # (pi^d / (d-1)!) B(d/2, 1/2) int_0^{r0^2} r^d |f(r)|^p dr.
+    for d in (1, 2):
+        u0 = bump_profile(1.0, d)
+        radius = 2.0 ** 0.25 * 1.0001
+        rho, s, w = radial_ball_rule(radius, d, 257, 513)
+        got = radial_ball_norms(u0.profile(rho, s), w, d,
+                                (1.0, 2.0, 4.0, np.inf))
+        r, wr = _gauss(0.0, 1.0, 8, 40)
+        f = np.abs(u0.profile(r, np.zeros_like(r)))
+        beta = math.gamma(d / 2.0) * math.gamma(0.5) / math.gamma(
+            d / 2.0 + 0.5)
+        const = math.pi ** d / math.factorial(d - 1) * beta
+        for p, norm in zip((1.0, 2.0, 4.0), got):
+            exact = (const * np.sum(wr * r ** d * f ** p)) ** (1.0 / p)
+            assert norm == pytest.approx(exact, rel=1e-8), (d, p)
+        # the peak sits at the origin, a node of the rule
+        assert got[3] == 1.0
 
 
 def test_ball_norm_rejects_bad_p_and_empty_balls():
+    rho, s, w = radial_ball_rule(1.0, 1)
     with pytest.raises(ValueError):
-        lp_norm_on_ball_radial(lambda r, s: r, 0.5, 1.0, 1)
-    spec = GridSpec(((2.0, 3.0, 5), (2.0, 3.0, 5), (8.0, 9.0, 5)))
+        radial_ball_norms(rho, w, 1, (2.0, 0.5))
     with pytest.raises(QuadratureError):
-        lp_norm_on_ball(lambda w: 1.0, 2.0, identity(1), 0.5, spec)
-
-
-def test_ball_norm_off_center_is_left_invariant():
-    # measure a left-translated function around the translated center
-    g = GroupPoint(np.array([0.4]), np.array([-0.2]), 0.7)
-    f_origin = lambda w: math.exp(-w.horizontal_sq() ** 2 - w.s ** 2)
-
-    def f_moved(w):
-        return f_origin(product(inverse(g), w))
-
-    spec = ball_box(1.0, d=1, n_horizontal=25, n_vertical=25)
-    n0 = lp_norm_on_ball(f_origin, 2.0, identity(1), 1.0, spec)
-    n1 = lp_norm_on_ball(f_moved, 2.0, g, 1.0, spec)
-    assert n1 == pytest.approx(n0, rel=1e-12)
+        radial_ball_rule(0.0, 1)

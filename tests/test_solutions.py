@@ -8,16 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from hlab.experiments import _evolved_ball_norms
-from hlab.fourier import RadialFunction, bump_profile, synthesize
-from hlab.group import GroupPoint, identity
+from hlab.experiments import _ball_grid, _evolved_ball_norms
+from hlab.fourier import bump_profile, synthesize
+from hlab.group import GroupPoint
 from hlab.kernels import (KernelQuery, StripViolation, schrodinger_batch,
                           schrodinger_kernel)
 from hlab import solutions
-from hlab.quadrature import (GridSpec, _flatten_grid, ball_box,
-                             gauss_panels, integrate_adaptive,
-                             lp_norm_on_ball, lp_norm_on_ball_radial,
-                             radial_ball_rule)
+from hlab.quadrature import (gauss_panels, integrate_adaptive,
+                             radial_ball_norms, radial_ball_rule,
+                             simpson_rule)
 from hlab.solutions import (ConcentrationProbe, LineData,
                             concentration_probe, evolve_by_convolution,
                             hyperplane_decay_exponent)
@@ -190,6 +189,13 @@ def test_spectral_route_reproduces_time_zero():
                                    data.value(0.0, rho, s), atol=1e-12)
 
 
+def _ball_mass(u0):
+    """Integral of the bump of radius 0.5 over the gauge ball of radius
+    0.51^(1/2), which holds its support."""
+    rho, s, w = radial_ball_rule(0.51 ** 0.5, 1, 257, 257)
+    return radial_ball_norms(u0.profile(rho, s), w, 1, (1.0,))[0]
+
+
 def test_bump_data_shape_and_mass():
     u0 = bump_profile(0.5)
     assert u0.support_rho == 0.25 and u0.support_s == 0.25
@@ -198,15 +204,14 @@ def test_bump_data_shape_and_mass():
     big = bump_profile(0.5, amplitude=3.0)
     assert big.profile(0.01, 0.02) == pytest.approx(
         3.0 * u0.profile(0.01, 0.02), rel=1e-14)
-    mass = lp_norm_on_ball_radial(u0.profile, 1.0, 0.51 ** 0.5, 1, 257, 257)
-    assert mass == pytest.approx(0.12449661977171328, rel=1e-6)
+    assert _ball_mass(u0) == pytest.approx(0.12449661977171328, rel=1e-6)
 
 
 def test_convolution_far_field_is_mass_times_kernel():
     # once the kernel varies slowly across the support of u0, the
     # convolution collapses to total mass times the kernel value
     u0 = bump_profile(0.5)
-    mass = lp_norm_on_ball_radial(u0.profile, 1.0, 0.51 ** 0.5, 1, 257, 257)
+    mass = _ball_mass(u0)
     t = 20.0
     pts = [GroupPoint(np.array([0.4]), np.array([-0.3]), 2.0),
            GroupPoint(np.array([0.0]), np.array([0.0]), 0.0),
@@ -252,10 +257,15 @@ def test_convolution_grid_refinement_and_linearity(monkeypatch):
 
 
 def _tensor_box(u0, n):
-    """The (2d+1)-D Simpson box over the support of u0, n nodes per axis."""
+    """Nodes (N, 2d+1) and weights (N,) of the (2d+1)-D Simpson box over
+    the support of u0, n nodes per axis."""
     rh = math.sqrt(u0.support_rho)
-    axes = [(-rh, rh, n)] * (2 * u0.d) + [(-u0.support_s, u0.support_s, n)]
-    return GridSpec(tuple(axes))
+    rules = ([simpson_rule(-rh, rh, n)] * (2 * u0.d)
+             + [simpson_rule(-u0.support_s, u0.support_s, n)])
+    nodes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    weights = np.meshgrid(*[w for _, w in rules], indexing="ij")
+    return (np.stack([m.reshape(-1) for m in nodes], axis=-1),
+            np.prod([m.reshape(-1) for m in weights], axis=0))
 
 
 def _pair_sum(u0, t, points, n, tol):
@@ -264,7 +274,7 @@ def _pair_sum(u0, t, points, n, tol):
     node amplitudes.  Shares only the batch kernel with the radial
     route."""
     d = u0.d
-    pts, w = _flatten_grid(_tensor_box(u0, n))
+    pts, w = _tensor_box(u0, n)
     vy, veta, vs = pts[:, :d], pts[:, d:2 * d], pts[:, 2 * d]
     u0v = u0.profile(np.sum(vy * vy, axis=1) + np.sum(veta * veta, axis=1),
                      vs)
@@ -297,21 +307,10 @@ def test_tensor_pair_sum_converges_to_the_radial_route_d1():
     assert gaps[0] < 5e-3 and gaps[1] < 3e-5, gaps
 
 
-def _bump_d2():
-    """A bump of radius 0.8 on H^2, built by hand."""
-    def profile(rho, s):
-        q = np.minimum((rho * rho + s * s) / 0.4096, 1.0)
-        with np.errstate(divide="ignore"):
-            return np.where(q < 1.0, np.exp(-q / (1.0 - q)), 0.0)
-
-    return RadialFunction(profile=profile, support_rho=0.64, support_s=0.64,
-                          d=2)
-
-
 def test_tensor_pair_sum_converges_to_the_radial_route_d2():
     # the 5-D box barely resolves the bump, so it converges slowly:
     # 4.9e-2, 2.6e-2 and 1.4e-2 apart at n = 7, 9 and 11
-    u0 = _bump_d2()
+    u0 = bump_profile(0.8, d=2)
     points = [GroupPoint(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.0),
               GroupPoint(np.array([0.5, -0.2]), np.array([0.1, 0.3]), 0.7),
               GroupPoint(np.array([-0.3, 0.4]), np.array([0.6, -0.5]), -1.1)]
@@ -327,7 +326,7 @@ def test_convolution_depends_on_y_only_through_its_length():
     rng = np.random.default_rng(7)
     cases = ((bump_profile(1.0), 4.0, [0.3, 1.0, 2.5, 3.7],
               [0.4, -1.3, 2.2, 0.0]),
-             (_bump_d2(), 1.5, [0.2, 0.6, 1.1], [0.7, -1.1, 0.3]))
+             (bump_profile(0.8, d=2), 1.5, [0.2, 0.6, 1.1], [0.7, -1.1, 0.3]))
     for u0, t, rho, s in cases:
         d = u0.d
         turned = []
@@ -341,35 +340,41 @@ def test_convolution_depends_on_y_only_through_its_length():
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
 
 
-def test_radial_ball_norms_match_the_clipped_tensor_grid():
-    # The dispersion report's ball norms of u(t), taken on the radial
-    # (rho, s) section, against lp_norm_on_ball on the Simpson tensor grid
-    # of all three coordinates clipped to the gauge ball, at the first
-    # time of dispersion with the default ball grid.  Both rules clip the
-    # ball's boundary, an error neither estimates and under which L2
-    # moves 2-3% per grid refinement.  So the routes may differ in L2 and
-    # L4 by each rule's own movement from this grid to the next finer one,
-    # summed.  The sup is taken on the s axis, whose nodes both rules
-    # share, so only the tau rule (fitted to each query set) moves it.
+def _polar_ball_norms(u0, t, kappa, n):
+    """L2 and L4 of u(t) over the gauge ball of radius kappa sqrt(t) by
+    an n x n Gauss rule in polar coordinates (rho, s) = r (cos phi,
+    sin phi) of the ball's half-disk, weight r^d cos^(d-1) phi."""
+    d = u0.d
+    x, wx = np.polynomial.legendre.leggauss(n)
+    top = kappa * kappa * t
+    r, wr = 0.5 * top * (x + 1.0), 0.5 * top * wx
+    phi, wphi = 0.5 * math.pi * x, 0.5 * math.pi * wx
+    R, P = np.meshgrid(r, phi, indexing="ij")
+    w = np.outer(wr * r ** d, wphi * np.cos(phi) ** (d - 1)).reshape(-1)
+    vals, _ = evolve_by_convolution(
+        u0, t, _radial_points(d, (R * np.cos(P)).reshape(-1),
+                              (R * np.sin(P)).reshape(-1)), tol=1e-8)
+    const = math.pi ** d / math.factorial(d - 1)
+    return np.array([(const * np.sum(w * np.abs(vals) ** p)) ** (1.0 / p)
+                     for p in (2.0, 4.0)])
+
+
+def test_radial_ball_norms_match_a_polar_gauss_rule():
+    # The dispersion report's ball norms of u(t), taken by the clipped
+    # Simpson rule of the ball's (rho, s) section, against a polar Gauss
+    # rule of the same half-disk, at the first time of dispersion with
+    # both ball grids.  The polar rule follows the curved edge, and its
+    # L2 and L4 agree to 1e-9 between 12 x 12 and 16 x 16 nodes.  The
+    # clipped rule cuts that edge, an error the README states as 2-3% of
+    # L2 per grid refinement, so each grid must come within 3%.
     u0 = bump_profile(1.0)
     t, kappa = 4.0, 1.0
-    radius = kappa * math.sqrt(t)
-
-    def u_t(y, eta, s):
-        points = [GroupPoint(y[i], eta[i], float(s[i])) for i in range(s.size)]
-        return evolve_by_convolution(u0, t, points, tol=1e-8)[0]
-
-    radial, clipped = [], []
-    for n_h, n_v in ((9, 13), (13, 17)):
-        sup, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
-        radial.append(np.array([sup, l2, l4]))
-        box = ball_box(radius, 1, n_h, n_v)
-        clipped.append(np.array([
-            lp_norm_on_ball(u_t, p, identity(1), radius, box, vectorized=True)
-            for p in (np.inf, 2.0, 4.0)]))
-    bound = np.abs(radial[1] - radial[0]) + np.abs(clipped[1] - clipped[0])
-    assert radial[0][0] == pytest.approx(clipped[0][0], rel=1e-9)
-    assert np.all(np.abs(radial[0][1:] - clipped[0][1:]) <= bound[1:])
+    polar = _polar_ball_norms(u0, t, kappa, 12)
+    np.testing.assert_allclose(_polar_ball_norms(u0, t, kappa, 16), polar,
+                               rtol=1e-9)
+    for fast in (True, False):
+        _, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, *_ball_grid(fast))
+        np.testing.assert_allclose([l2, l4], polar, rtol=0.03)
 
 
 def test_convolution_strip_guard():
