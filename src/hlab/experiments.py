@@ -76,6 +76,23 @@ class ExperimentConfig:
                 raise ConfigError(
                     "kappa = %g too large: the dispersion constant needs "
                     "kappa^2 < 4 d = %d" % (self.kappa, 4 * self.d))
+        if self.experiment in ("dispersion", "strichartz-window",
+                               "kernel-consistency", "mkappa"):
+            # R0 enters these reports through Python floats, which raise
+            # OverflowError past 1.8e308: the onset time
+            # (R0 / (sqrt(4d) - kappa))^2, at mkappa's largest kappa, and
+            # the bump's R0^4
+            try:
+                if self.experiment == "mkappa":
+                    dispersive_onset_time(_mkappa_kappas(self.d)[-1],
+                                          self.r0, self.d)
+                else:
+                    dispersive_onset_time(self.kappa, self.r0, self.d)
+                    bump_profile(self.r0, self.d)
+            except OverflowError:
+                raise ConfigError("R0 = %g is too large: the onset time or "
+                                  "the bump's R0^4 overflows" % self.r0
+                                  ) from None
         t = self.t_values
         cap = self._time_cap()
         if cap is not None and len(t) > cap:
@@ -284,9 +301,10 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     # which needs a few points per radian at the top line.  Only the
     # synthesis, which applies that phase, needs that many: the
     # coefficients are smooth in lambda, and analyze takes them on its panel
-    # rule in |lambda| (960 nodes at R0 = 1) and interpolates.  One
-    # synthesis call evolves and sums all picked points over the 32501
-    # distinct |lambda|.
+    # rule in |lambda| (960 nodes at R0 = 1) and interpolates.  They stay
+    # on the 32501 distinct |lambda|, one real table, since the bump is
+    # real and even in s; no table over the 65002 signed lambda is built.
+    # One synthesis call evolves and sums all picked points over them.
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, n_lam, 1)
     gn, wn = single_sign_lambda_grid(5e-4, 40.0, n_lam, -1)
     lam_grid = np.concatenate([gn, gp])
@@ -586,12 +604,18 @@ def run_restricted_sweep(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # mkappa
 
+def _mkappa_kappas(d: int) -> list:
+    """The kappas of the mkappa rows, ascending toward sqrt(4d)."""
+    top = math.sqrt(4.0 * d)
+    return [0.0, 0.3 * top, 0.5 * top, 0.7 * top, 0.9 * top,
+            math.sqrt(4.0 * d - 0.1), math.sqrt(4.0 * d - 0.01)]
+
+
 def run_mkappa(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispersion constants over kappa and the endpoint blow-up."""
     d = cfg.d
     top = math.sqrt(4.0 * d)
-    kappas = [0.0, 0.3 * top, 0.5 * top, 0.7 * top, 0.9 * top,
-              math.sqrt(4.0 * d - 0.1), math.sqrt(4.0 * d - 0.01)]
+    kappas = _mkappa_kappas(d)
     vals = dispersion_constant(kappas, d)
     signed = dispersion_constant(kappas, d, signed=True)
     rows = []

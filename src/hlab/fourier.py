@@ -8,20 +8,23 @@ and a vertical character; the inverse sums the same blocks against the
 Plancherel weight |lam|^d.  The sublaplacian acts diagonally with symbol
 4 |lam| (2 ell + d).
 
-Only the vertical character exp(i s lam) tells lam from -lam, so both
-directions work on the distinct |lam|: analyze takes real cosine and sine
-transforms there and unfolds them onto the signed grid, and synthesize
-folds each coefficient row into an even and an odd row there, applies the
+Only the vertical character exp(i s lam) tells lam from -lam, so the
+coefficients live on the distinct |lam|: SpectralCoefficients stores
+c(ell, lam) = even(ell, |lam|) + sign(lam) odd(ell, |lam|), and the table
+over the signed grid is built only on request (its `values`).  analyze
+takes the even and odd parts as real cosine and sine transforms at the
+distinct |lam|; synthesize forms c+- = even +- odd row by row there,
+folds them with the weights into an even and an odd row, applies the
 unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them, one complex
 product per ell by angle addition, and sums both against one Laguerre
-sweep.  Every real part that is identically zero is
-skipped on either side.
+sweep.  Every real part that is identically zero is skipped on either
+side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -80,22 +83,35 @@ class FrequencyPoint:
 class SpectralCoefficients:
     """Transform values on a product grid of Laguerre indices and lam nodes.
 
-    values has shape (ell_max + 1, len(lambda_grid)); lambda_grid is sorted,
-    never contains 0, and weights are the positive quadrature weights for
-    integrals d(lam) over the grid.
+    lambda_grid is sorted and never contains 0, and weights are the
+    positive quadrature weights for integrals d(lam) over it.  The values
+    are stored on the distinct |lam| of the grid, `nodes` (ascending), as
+
+        c(ell, lam) = even(ell, |lam|) + sign(lam) odd(ell, |lam|),
+
+    the parts of the vertical character's cosine and sine; even and odd
+    have shape (ell_max + 1, nodes.size), in C order.  A part whose
+    imaginary component is zero is stored as a real array, any other as
+    a complex one.  None stands for a part that is identically zero:
+    analyze gives it for the bump's odd part, say, and gives zero data a
+    real zero even part, which carries ell_max.  Where the grid holds
+    only one sign of some |lam|, the split there is not unique, and any
+    split with the right sum serves.  `values` unfolds c onto the signed
+    grid, a new complex table on each read, for tests and small callers;
+    the transforms never build that table.
     """
 
     d: int
     lambda_grid: np.ndarray
     weights: np.ndarray
-    values: np.ndarray
+    even: np.ndarray | None
+    odd: np.ndarray | None = None
+    nodes: np.ndarray = field(init=False, repr=False)
+    _inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        # C order, whatever the caller passed: the sums over lam in
-        # spectral_norm_sq and synthesize then see one memory layout
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.lambda_grid.ndim != 1:
             raise ValueError("lambda_grid must be one dimensional")
         if np.any(self.lambda_grid == 0.0):
@@ -106,12 +122,50 @@ class SpectralCoefficients:
             raise ValueError("weights must match lambda_grid")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
-        if self.values.ndim != 2 or self.values.shape[1] != self.lambda_grid.size:
-            raise ValueError("values must have shape (ell_max + 1, grid size)")
+        self.nodes, self._inv = np.unique(np.abs(self.lambda_grid),
+                                          return_inverse=True)
+        shapes = set()
+        for name in ("even", "odd"):
+            part = getattr(self, name)
+            if part is None:
+                continue
+            part = np.asarray(part)
+            if np.iscomplexobj(part) and not np.any(part.imag):
+                part = part.real
+            # C order, whatever the caller passed: the sums over |lam| in
+            # synthesize then see one memory layout
+            part = np.ascontiguousarray(
+                part, dtype=complex if np.iscomplexobj(part) else float)
+            if part.ndim != 2 or part.shape[1] != self.nodes.size:
+                raise ValueError("%s must have shape (ell_max + 1, number "
+                                 "of distinct |lam|)" % name)
+            shapes.add(part.shape)
+            setattr(self, name, part)
+        if not shapes:
+            raise ValueError("even or odd must be given")
+        if len(shapes) > 1:
+            raise ValueError("even and odd must have one shape")
 
     @property
     def ell_max(self) -> int:
-        return self.values.shape[0] - 1
+        return (self.odd if self.even is None else self.even).shape[0] - 1
+
+    def _signed_rows(self):
+        """The rows of c on the signed grid, one ell at a time."""
+        sign = np.sign(self.lambda_grid)
+        for ell in range(self.ell_max + 1):
+            row = np.zeros(self.lambda_grid.size, dtype=complex)
+            if self.even is not None:
+                row += self.even[ell, self._inv]
+            if self.odd is not None:
+                row += self.odd[ell, self._inv] * sign
+            yield row
+
+    @property
+    def values(self) -> np.ndarray:
+        """c(ell, lam) on the signed grid: a new complex table of shape
+        (ell_max + 1, lambda_grid.size)."""
+        return np.array(list(self._signed_rows()))
 
 
 def multiplicity(ell: int, d: int) -> int:
@@ -184,8 +238,9 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     The s rule is symmetric about 0, so the table splits into its even
     and odd parts in s, each further into real and imaginary parts.  Every
     part that is not identically zero is a real cosine (even) or sine (odd)
-    transform on the s >= 0 half of the rule, taken at the distinct |lam|;
-    the bump, real and even in s, has one part and real coefficients.
+    transform on the s >= 0 half of the rule, taken at the distinct |lam|,
+    and is stored there as a component of c's even or odd part; the bump,
+    real and even in s, has one part and a real even part.
 
     The profile is integrated over its declared supports only, so by
     Paley-Wiener each part is entire in |lam|, of exponential type about
@@ -219,16 +274,15 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     half = n_s // 2
     sh, wh = s[half:], 2.0 * ws[half:]
     wh[0] /= 1 + n_s % 2
-    # (trig, into the imaginary part of c?, factor of sign(lam) or 0,
-    # half table (n_half, n_rho)): exp(-i s lam) = cos - i sign(lam) sin
+    # (trig, odd part?, into its imaginary component?, half table
+    # (n_half, n_rho)): exp(-i s lam) = cos - i sign(lam) sin, so a sine
+    # transform lands in the other component, negated from the real table
     parts = []
     for imag, x in ((False, table.real), (True, np.imag(table))):
         xh, xm = x[:, half:].T, x[:, (n_s - 1) // 2::-1].T
-        for trig, into, sign, mirror in (
-                (np.cos, imag, 0.0, xm),
-                (np.sin, not imag, 1.0 if imag else -1.0, -xm)):
+        for trig, odd, mirror in ((np.cos, False, xm), (np.sin, True, -xm)):
             if not np.array_equal(xh, -mirror):     # else the part is 0
-                parts.append((trig, into, sign,
+                parts.append((trig, odd, imag != odd,
                               np.ascontiguousarray(0.5 * (xh + mirror))))
     alpha = d - 1.0
     rad_w = wr * rho ** (d - 1)
@@ -263,7 +317,9 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
                     wa.sum(axis=-1, out=out[:, 0, lo:hi])
         return out
 
-    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    # the inverse is dropped, but without it np.unique first imports
+    # numpy.ma, about 30 ms of a process's first transform
+    nodes = np.unique(np.abs(lam), return_inverse=True)[0]
     # each part's round-off floor at degree ell: (ell + 1) eps times the
     # sum of its terms' bounds, exp(-x / 2) |L_ell^(d-1)(x)| being at most
     # C(ell + d - 1, ell)
@@ -279,22 +335,31 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     base = math.pi ** d / math.factorial(d - 1)
     out *= np.array([base / multiplicity(ell, d)
                      for ell in range(ell_max + 1)])[:, None]
-    # unfold onto the signed grid part by part, in place: each part adds
-    # its transform, times +-sign(lam) for a sine part, to the real or the
-    # imaginary component of c
-    values = np.zeros((ell_max + 1, lam.size), dtype=complex)
-    buf = np.empty(values.shape)
-    for (_, into, sign, _), part in zip(parts, out):
-        # mode="clip" writes straight into buf ("raise" buffers a copy);
-        # every index in inv is valid
-        np.take(part, inv, axis=1, out=buf, mode="clip")
-        if sign:
-            buf *= sign * np.sign(lam)
-        comp = values.imag if into else values.real
-        comp += buf
+    # each of c's even and odd parts: real when only its real component
+    # is nonzero, None when neither is
+    comps = {}
+    for (_, odd, imag, _), part in zip(parts, out):
+        if odd and imag:            # -i sign(lam) times the real table's sine
+            np.negative(part, out=part)
+        comps[odd, imag] = part
+    even = _join(comps.get((False, False)), comps.get((False, True)))
+    odd = _join(comps.get((True, False)), comps.get((True, True)))
+    if even is None and odd is None:
+        even = np.zeros((ell_max + 1, nodes.size))
     return SpectralCoefficients(d=d, lambda_grid=lam,
                                 weights=np.asarray(lambda_weights, float),
-                                values=values)
+                                even=even, odd=odd)
+
+
+def _join(re, im):
+    """re + i im of two real tables either of which may be None."""
+    if im is None:
+        return re
+    out = np.zeros(im.shape, dtype=complex)
+    if re is not None:
+        out.real = re
+    out.imag = im
+    return out
 
 
 _FWD_CHUNK = 16_384
@@ -365,11 +430,12 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
                    exp(4 i t |lam| (2 ell + d)) c(ell, lam) |lam|^d d(lam).
 
     Everything but exp(i s lam) = cos(s |lam|) + i sign(lam) sin(s |lam|)
-    depends on |lam| only, so each ell row is folded onto the distinct
-    |lam|: an even row E = w+ c+ + w- c- and an odd row O = w+ c+ - w- c-,
-    with w the weight times |lam|^d and a sign missing from the grid
-    counted as 0.  Both rows take the flow's phase by angle addition:
-    with beta = 4 t |lam|, exp(i beta d) at ell = 0, then one product by
+    depends on |lam| only, so each ell row stays on the distinct |lam|:
+    with c+- = even +- odd there, it folds into an even row
+    E = w+ c+ + w- c- and an odd row O = w+ c+ - w- c-, w+- the weight
+    times |lam|^d at that sign's node, or 0 where the grid lacks it.
+    Both rows take the flow's phase by angle addition: with
+    beta = 4 t |lam|, exp(i beta d) at ell = 0, then one product by
     exp(2 i beta) per row.  That is two complex exponentials over |lam|
     in all, and the products add a rounding that grows like ell eps.
     Each real component of E and O that is not identically zero is
@@ -387,9 +453,14 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     if np.any(rho_f < 0.0):
         raise ValueError("rho must be nonnegative")
     lam = c.lambda_grid
-    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    nodes = c.nodes
     wl = c.weights * np.abs(lam) ** d
     n_neg = int(np.count_nonzero(lam < 0.0))      # lam is sorted
+    # w+ and w- on the nodes: 0 where the grid lacks that sign
+    w_plus = np.zeros(nodes.size)
+    w_minus = np.zeros(nodes.size)
+    w_minus[c._inv[:n_neg]] = wl[:n_neg]
+    w_plus[c._inv[n_neg:]] = wl[n_neg:]
     beta = 4.0 * float(t) * nodes
     phase = np.exp(1j * d * beta)
     step = np.exp(2j * beta)
@@ -397,18 +468,23 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     # at its first nonzero row, so a component that is identically zero
     # costs neither memory nor sweep time
     parts = {}
-    for ell, row in enumerate(c.values):
-        wc = row * wl
-        plus = np.zeros(nodes.size, dtype=complex)
-        minus = np.zeros(nodes.size, dtype=complex)
-        minus[inv[:n_neg]] = wc[:n_neg]
-        plus[inv[n_neg:]] = wc[n_neg:]
+    for ell in range(c.ell_max + 1):
+        e_row = None if c.even is None else c.even[ell]
+        o_row = None if c.odd is None else c.odd[ell]
+        if o_row is None:
+            plus = minus = e_row
+        elif e_row is None:
+            plus, minus = o_row, -o_row
+        else:
+            plus, minus = e_row + o_row, e_row - o_row
+        plus = plus * w_plus
+        minus = minus * w_minus
         if ell:
             phase *= step
         for odd, folded in ((False, plus + minus), (True, plus - minus)):
             if not np.any(folded):
                 continue
-            folded *= phase
+            folded = folded * phase
             for imag, comp in ((False, folded.real), (True, folded.imag)):
                 if (odd, imag) in parts:
                     parts[odd, imag][ell] = comp
@@ -479,8 +555,10 @@ def spectral_norm_sq(c: SpectralCoefficients) -> float:
     wl = c.weights * np.abs(c.lambda_grid) ** c.d
     mults = np.array([multiplicity(ell, c.d) for ell in range(c.ell_max + 1)],
                      dtype=float)
-    # fixed-order sum over lam, as in synthesize
-    per_ell = np.einsum("ij,j->i", c.values * np.conj(c.values), wl)
+    # each signed row on its own, a fixed-order sum over lam as in
+    # synthesize
+    per_ell = np.array([np.einsum("j,j->", row * np.conj(row), wl)
+                        for row in c._signed_rows()])
     return float(complex(mults @ per_ell).real)
 
 
@@ -499,15 +577,21 @@ def spatial_norm_sq(f: RadialFunction, n_rho: int = 256,
 # Diagonal evolutions
 
 def evolve_schrodinger(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
-    """Unitary flow: multiply block (ell, lam) by exp(4 i t |lam| (2 ell + d))."""
+    """Unitary flow: multiply block (ell, lam) by exp(4 i t |lam| (2 ell + d)).
+
+    The phase depends on |lam| only, so it multiplies the even and the
+    odd part apart; where c has both, c(t) is even ph + sign(lam) odd ph,
+    which can differ from (even + sign(lam) odd) ph in the last bit."""
     t = float(t)
     ells = np.arange(c.ell_max + 1)[:, None]
-    phase = 4j * t * np.abs(c.lambda_grid)[None, :] * (2 * ells + c.d)
+    phase = 4j * t * c.nodes[None, :] * (2 * ells + c.d)
     np.exp(phase, out=phase)
-    # c.values first: complex multiplication does not commute bitwise
-    np.multiply(c.values, phase, out=phase)
+    # each part first: complex multiplication does not commute bitwise;
+    # the odd part reads the phase before the even part overwrites it
+    odd = None if c.odd is None else c.odd * phase
+    even = None if c.even is None else np.multiply(c.even, phase, out=phase)
     return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
-                                weights=c.weights.copy(), values=phase)
+                                weights=c.weights.copy(), even=even, odd=odd)
 
 
 # ---------------------------------------------------------------------------

@@ -213,11 +213,14 @@ class LineData:
         pi^(d+1) / 2^(d-1), so that synthesize() reproduces value(0, .)."""
         a, b = self.band
         grid, weights = single_sign_lambda_grid(a, b, n, self.lambda_sign)
-        values = np.zeros((self.ell + 1, grid.size), dtype=complex)
+        even = np.zeros((self.ell + 1, grid.size))
         const = math.pi ** (self.d + 1) / 2.0 ** (self.d - 1)
-        values[self.ell, :] = const * self.density(np.abs(grid))
+        # the even part's columns run over ascending |lam|: on the negative
+        # half-line, against the grid
+        even[self.ell, :] = const * self.density(
+            np.abs(grid)[::self.lambda_sign])
         return SpectralCoefficients(d=self.d, lambda_grid=grid,
-                                    weights=weights, values=values)
+                                    weights=weights, even=even)
 
 
 @dataclass

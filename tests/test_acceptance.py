@@ -130,9 +130,8 @@ def test_transform_round_trip_and_plancherel(capsys):
     inside = np.abs(u) < 1.0
     win = np.zeros(grid.size)
     win[inside] = np.exp(-u[inside] ** 2 / (1.0 - u[inside] ** 2))
-    vals = np.zeros((3, grid.size), dtype=complex)
-    vals[0], vals[1], vals[2] = win, 0.5 * win, -0.25 * win
-    c = SpectralCoefficients(d=1, lambda_grid=grid, weights=w, values=vals)
+    c = SpectralCoefficients(d=1, lambda_grid=grid, weights=w,
+                             even=np.array([win, 0.5 * win, -0.25 * win]))
     f = RadialFunction(profile=lambda rho, s: synthesize(c, rho, s),
                        support_rho=40.0, support_s=60.0)
 

@@ -99,6 +99,9 @@ def test_main_config_errors(capsys):
         (["dispersion", "--fast", "--kappa", "nan"],
          "kappa must be finite, got nan"),
         (["mkappa", "--R0", "nan"], "R0 must be finite, got nan"),
+        (["dispersion", "--fast", "--R0", "1e100"],
+         "R0 = 1e+100 is too large"),
+        (["mkappa", "--R0", "1e200"], "R0 = 1e+200 is too large"),
         (["dispersion", "--fast", "--t", "5"], "at least 3 strictly"),
         (["strichartz-window", "--fast", "--t", "32,16,8,4"],
          "at least 3 strictly"),

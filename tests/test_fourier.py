@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,21 +67,30 @@ def test_default_lambda_grid_integrates_plancherel_weight():
 def test_coefficient_container_validation():
     grid = np.array([0.5, 1.0, 2.0])
     w = np.ones(3)
-    vals = np.zeros((2, 3))
-    SpectralCoefficients(d=1, lambda_grid=grid, weights=w, values=vals)
-    with pytest.raises(ValueError):
-        SpectralCoefficients(d=1, lambda_grid=np.array([-1.0, 0.0, 1.0]),
-                             weights=w, values=vals)
-    with pytest.raises(ValueError):
-        SpectralCoefficients(d=1, lambda_grid=grid[::-1].copy(), weights=w,
-                             values=vals)
-    with pytest.raises(ValueError):
-        SpectralCoefficients(d=1, lambda_grid=grid, weights=-w, values=vals)
-    with pytest.raises(ValueError):
-        SpectralCoefficients(d=1, lambda_grid=grid, weights=w,
-                             values=np.zeros((2, 4)))
+    even = np.zeros((2, 3))
+    SpectralCoefficients(d=1, lambda_grid=grid, weights=w, even=even)
+    for bad in (dict(even=np.zeros((2, 4))), dict(odd=np.zeros((2, 2))),
+                dict(even=even, odd=np.zeros((3, 3))), dict(even=None),
+                dict(lambda_grid=grid[::-1].copy()),
+                dict(lambda_grid=np.array([-1.0, 0.0, 1.0])),
+                dict(weights=-w)):
+        kw = dict(d=1, lambda_grid=grid, weights=w, even=even) | bad
+        with pytest.raises(ValueError):
+            SpectralCoefficients(**kw)
     with pytest.raises(ValueError):
         analyze(bump_profile(1.0), lambda_grid=grid)
+    # nodes 0.5, 1 and 2, of which only 1 carries both signs: the signed
+    # table is even + sign(lam) odd at each lam's node
+    grid = np.array([-1.0, -0.5, 1.0, 2.0])
+    c = SpectralCoefficients(d=1, lambda_grid=grid, weights=np.ones(4),
+                             even=np.array([[1.0, 2.0, 3.0]]),
+                             odd=np.array([[1j, 0.5, -1.0]]))
+    assert np.array_equal(c.nodes, [0.5, 1.0, 2.0])
+    assert np.array_equal(c.values, [[1.5, 1.0 - 1j, 2.5, 2.0]])
+    assert c.ell_max == 0 and c.even.dtype == float
+    assert c.odd.dtype == complex
+    with pytest.raises(AttributeError):
+        c.values = np.zeros((1, 4))
 
 
 def test_analyze_matches_single_point_quadrature():
@@ -292,6 +302,12 @@ import hashlib, numpy as np
 from hlab.fourier import (RadialFunction, analyze, bump_profile,
                           evolve_schrodinger, single_sign_lambda_grid,
                           spectral_norm_sq, synthesize)
+
+
+def stored(c):
+    return b"".join(p.tobytes() for p in (c.even, c.odd) if p is not None)
+
+
 gp, wp = single_sign_lambda_grid(5e-4, 40.0, 20001, 1)
 grid = np.concatenate([-gp[::-1], gp])
 w = np.concatenate([wp[::-1], wp])
@@ -305,15 +321,16 @@ data = synthesize(c, rho, s, 2.5).tobytes()
 c = evolve_schrodinger(c, 2.5)
 vals = [synthesize(c, r, s) for r, s in ((0.0, 0.0), (0.3, -0.7), (1.1, 2.0))]
 vals.append(spectral_norm_sq(c))
-data += c.values.tobytes() + np.array(vals).tobytes()
+data += stored(c) + c.values.tobytes() + np.array(vals).tobytes()
 # nonzero at the last rho node, where the bump vanishes, on the panel rule
 # and (801 lam) on the direct route, at kernel-consistency's rule shape
 edge = RadialFunction(
     profile=lambda rho, s: np.exp(-rho - s * s) + np.cos(7.0 * rho + 3.0 * s),
     support_rho=1.0, support_s=1.0)
 for g, wg in ((grid, w), (grid[::50], w[::50])):
-    data += analyze(edge, ell_max=4, lambda_grid=g, lambda_weights=wg,
-                    n_rho=225, n_s=193).values.tobytes()
+    e = analyze(edge, ell_max=4, lambda_grid=g, lambda_weights=wg,
+                n_rho=225, n_s=193)
+    data += stored(e) + e.values.tobytes()
 print(hashlib.sha256(data).hexdigest())
 """
 
@@ -346,11 +363,8 @@ def _band_limited():
     inside = np.abs(u) < 1.0
     win = np.zeros(grid.size)
     win[inside] = np.exp(-u[inside] ** 2 / (1.0 - u[inside] ** 2))
-    vals = np.zeros((3, grid.size), dtype=complex)
-    vals[0] = win
-    vals[1] = 0.5 * win
-    vals[2] = -0.25 * win
-    c = SpectralCoefficients(d=1, lambda_grid=grid, weights=w, values=vals)
+    c = SpectralCoefficients(d=1, lambda_grid=grid, weights=w,
+                             even=np.array([win, 0.5 * win, -0.25 * win]))
     f = RadialFunction(profile=lambda rho, s: synthesize(c, rho, s),
                        support_rho=40.0, support_s=60.0)
     return c, f
@@ -378,28 +392,12 @@ def test_spectral_norm_does_not_depend_on_memory_order():
     c = analyze(bump_profile(1.0), ell_max=8)
     fortran = SpectralCoefficients(d=1, lambda_grid=c.lambda_grid,
                                    weights=c.weights,
-                                   values=np.asfortranarray(c.values))
-    assert fortran.values.flags.c_contiguous
+                                   even=np.asfortranarray(c.even))
+    assert fortran.even.flags.c_contiguous
     assert spectral_norm_sq(fortran) == spectral_norm_sq(c)
-
-
-def test_unitary_flow_conserves_spectral_mass():
-    c, _ = _band_limited()
-    n0 = spectral_norm_sq(c)
-    for t in (1e-3, 0.37, 12.0):
-        assert spectral_norm_sq(evolve_schrodinger(c, t)) == pytest.approx(
-            n0, rel=1e-14)
-
-
-def test_flow_multipliers_act_blockwise():
-    c, _ = _band_limited()
-    t = 0.173
-    ev = evolve_schrodinger(c, t)
-    j = c.lambda_grid.size // 2
-    lam = c.lambda_grid[j]
-    for ell in range(3):
-        want = c.values[ell, j] * np.exp(4j * t * abs(lam) * (2 * ell + 1))
-        assert ev.values[ell, j] == pytest.approx(want, rel=1e-13)
+    rho, s = np.array([0.0, 0.7]), np.array([0.4, -1.3])
+    assert (synthesize(fortran, rho, s, 1.5).tobytes()
+            == synthesize(c, rho, s, 1.5).tobytes())
 
 
 def _synthesize_reference(c, rho, s, t):
@@ -485,6 +483,64 @@ def test_synthesize_rejects_negative_rho():
     c, _ = _band_limited()
     with pytest.raises(ValueError):
         synthesize(c, np.array([-0.1]), np.array([0.0]))
+
+
+_FLOW_CASES = [1, 2, "shifted", "complex", "one-sided", "line"]
+
+
+@pytest.mark.parametrize("case", _FLOW_CASES)
+def test_unitary_flow_conserves_spectral_mass(case):
+    c = _synthesis_case(case)
+    n0 = spectral_norm_sq(c)
+    for t in (1e-3, 0.37, 12.0):
+        assert spectral_norm_sq(evolve_schrodinger(c, t)) == pytest.approx(
+            n0, rel=1e-14)
+
+
+@pytest.mark.parametrize("case", _FLOW_CASES)
+def test_flow_multipliers_act_blockwise(case):
+    # the flow multiplies the even and the odd part apart, so where they
+    # nearly cancel in c the product differs from c times the phase by
+    # a few eps of |even| + |odd|, not of |c|
+    c = _synthesis_case(case)
+    t = 0.173
+    ev = evolve_schrodinger(c, t)
+    ell = np.arange(c.ell_max + 1)[:, None]
+    lam = np.abs(c.lambda_grid)
+    want = c.values * np.exp(4j * t * lam * (2 * ell + c.d))
+    node = np.searchsorted(c.nodes, lam)
+    scale = sum(np.abs(p[:, node]) for p in (c.even, c.odd) if p is not None)
+    assert np.all(np.abs(ev.values - want) <= 4e-16 * scale
+                  + 1e-13 * np.abs(want))
+
+
+def test_transform_keeps_no_signed_table(monkeypatch):
+    # kernel-consistency's route at its --fast ell_max on 8001 lam per
+    # sign, one point per synthesis block as at its 32501 nodes.  With T
+    # one real (ell_max + 1) x 8001 table, the bump's even part is T and
+    # synthesize's evolved rows 2 T; a complex table on the signed grid
+    # would be 4 T alone
+    f = bump_profile(1.0)
+    gp, wp = single_sign_lambda_grid(5e-4, 40.0, 8001, 1)
+    grid = np.concatenate([-gp[::-1], gp])
+    w = np.concatenate([wp[::-1], wp])
+    rho, s = np.linspace(0.0, 2.0, 10), np.linspace(-2.0, 2.0, 10)
+    # numpy imports and caches what its first calls need
+    synthesize(analyze(f, ell_max=2, n_rho=8, n_s=9), rho, s, 2.5)
+    monkeypatch.setattr(fourier, "_INV_CHUNK", gp.size)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        c = analyze(f, ell_max=48, lambda_grid=grid, lambda_weights=w,
+                    n_rho=225, n_s=193)
+        synthesize(c, rho, s, 2.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 49 * gp.size * 8
 
 
 def test_finite_difference_matches_symbol():
