@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (analyze, bump_profile, evolve_schrodinger,
+from .fourier import (_default_n_s, analyze, bump_profile,
+                      default_lambda_grid, evolve_schrodinger,
                       single_sign_lambda_grid, spectral_norm_sq, synthesize)
 from .group import GroupPoint
 from .kernels import (KernelQuery, TruncationBudget, dispersion_constant,
@@ -79,9 +80,10 @@ class ExperimentConfig:
         if self.experiment in ("dispersion", "strichartz-window",
                                "kernel-consistency", "mkappa"):
             # R0 enters these reports through Python floats, which raise
-            # OverflowError past 1.8e308: the onset time
-            # (R0 / (sqrt(4d) - kappa))^2, at mkappa's largest kappa, and
-            # the bump's R0^4
+            # OverflowError past 1.8e308: the onset time, at mkappa's
+            # largest kappa, the bump's R0^4 and the convolution's moments,
+            # below (R0^2)^(2d + 8) as its 0F1 series has <= d + 8 terms
+            # (one power more is a margin).
             try:
                 if self.experiment == "mkappa":
                     dispersive_onset_time(_mkappa_kappas(self.d)[-1],
@@ -89,10 +91,16 @@ class ExperimentConfig:
                 else:
                     dispersive_onset_time(self.kappa, self.r0, self.d)
                     bump_profile(self.r0, self.d)
+                    (self.r0 * self.r0) ** (2 * self.d + 9)
             except OverflowError:
-                raise ConfigError("R0 = %g is too large: the onset time or "
-                                  "the bump's R0^4 overflows" % self.r0
-                                  ) from None
+                raise ConfigError("R0 = %g is too large: the onset time, the "
+                                  "bump's R0^4 or the convolution's moments "
+                                  "overflow" % self.r0) from None
+        if self.experiment == "dispersion" and _default_n_s(
+                self.r0 ** 2, default_lambda_grid()[0][-1]) > 4096:
+            # leggauss takes an n x n matrix: 3814 nodes (R0 = 10), 256 MiB
+            raise ConfigError("R0 = %g is too large: the spectral mass row's "
+                              "s rule needs over 4096 Gauss nodes" % self.r0)
         t = self.t_values
         cap = self._time_cap()
         if cap is not None and len(t) > cap:
@@ -582,14 +590,15 @@ def run_restricted_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     rows.append((0, 1.9 / 1.3, 1.3, abs(same - plain), 0.0, same == plain))
 
     for ell in (1, 2):
+        # the last ratio is halfway from the ell = 0 strip to the first height
         band_hi = 4.0 * (2 * ell + d)
         ratios = (0.0, 2.0, 0.5 * (4.0 * d + band_hi))
-        # one lockstep batch per time: every s/t ratio at that t
         at_t = [restricted_kernel(ell, [
             KernelQuery(d=d, t_or_z=float(t), rho=rho, s=float(r * t),
                         tol=1e-10) for r in ratios]) for t in t_list]
         for j, s_over_t in enumerate(ratios):
-            scaled = [t ** half_q * abs(vals[j].value)
+            # as printed, so that the spread is the one of the CSV's values
+            scaled = [float(_fmt(t ** half_q * abs(vals[j].value)))
                       for t, vals in zip(t_list, at_t)]
             spread = (max(scaled) - min(scaled)) / np.mean(scaled)
             ok = spread < 0.05 and all(np.isfinite(scaled))

@@ -12,9 +12,9 @@ by exp((2d) |tau|) times the exponential factors, which yields the strip
 conditions below; outside the strip the integral has no exponential
 envelope and the evaluator refuses to run.
 
-Restricted kernels (initial data with Laguerre index >= ell) subtract the
-first ell terms of the Laguerre generating series from the same integrand
-and gain envelope decay exp(-4 ell |tau|), hence a wider strip.
+The Laguerre series of _series_kernel (Thangavelu 1998) gives heat and,
+from level ell on, restricted kernels.  It has no strip: at z = -it it is
+finite unless rho = 0 and |s| is a quantized height 4 |t| (2 ell + d).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 from . import backend
 from .quadrature import (Integrand1D, _leggauss, along_rows, gauss_panels,
                          integrate_exponential_tail, tail_cutoff)
-from .special import (TruncationBudget, laguerre_sweep, laguerre_table,
-                      sinh_ratio_log, tau_over_tanh2)
+from .special import (TruncationBudget, laguerre_table, sinh_ratio_log,
+                      tau_over_tanh2)
 
 
 class StripViolation(Exception):
@@ -38,6 +38,10 @@ class StripViolation(Exception):
 
 class ZeroTime(ValueError):
     """Flow kernels are undefined at t = 0."""
+
+
+class SingularPoint(ValueError):
+    """Unitary kernel queried where it is infinite: rho = 0 on a height."""
 
 
 class BudgetExhausted(Exception):
@@ -57,8 +61,7 @@ class KernelQuery:
     t_or_z : real time (heat and unitary flows) or complex time z
     rho    : |Y|^2 >= 0
     s      : vertical coordinate
-    tol    : absolute tolerance on the returned value; None picks the
-             per-operation default (1e-8, restricted kernels 1e-6)
+    tol    : absolute tolerance on the returned value (None: 1e-8)
     """
 
     d: int = 1
@@ -101,23 +104,19 @@ class KernelValue:
 
 
 _DEFAULT_TOL = 1e-8
-_DEFAULT_TOL_RESTRICTED = 1e-6
-_GUARD_RATIO = 1e6
 
 
-def _strip_rate(d: int, z: complex, rho: float, s: float,
-                ell: int = 0) -> float:
-    """Rate r > 0 of the integrand's envelope exp(-r |tau|) at (rho, s)
-    and time z, with the gain 4 ell of the restricted kernels.
+def _strip_rate(d: int, z: complex, rho: float, s: float) -> float:
+    """Rate r > 0 of the integrand's envelope exp(-r |tau|) at (rho, s, z).
 
     Raises StripViolation where r <= 0: there the integral has no
-    exponential envelope (for z = -it, outside |s| < 4 (2 ell + d) |t|)."""
+    exponential envelope (for z = -it, outside |s| < 4 d |t|)."""
     mod2 = 2.0 * (z.real * z.real + z.imag * z.imag)
-    rate = 2.0 * d + (rho * z.real - abs(s * z.imag)) / mod2 + 4.0 * ell
+    rate = 2.0 * d + (rho * z.real - abs(s * z.imag)) / mod2
     if not rate > 0.0:
         raise StripViolation(
             "no envelope: need |s| < %g |z|, got |s| = %g at rho = %g "
-            "(rate %.3g)" % (4.0 * (2 * ell + d), abs(s), rho, rate))
+            "(rate %.3g)" % (4.0 * d, abs(s), rho, rate))
     return rate
 
 
@@ -133,92 +132,29 @@ def _osc_panel_width(z: complex, rho: float, s: float) -> float | None:
     return min(3.0 * math.pi / freq, 16.0)
 
 
-def _laguerre_series_tail(ell: int, alpha: float, x: np.ndarray,
-                          r: np.ndarray) -> np.ndarray:
-    """sum over k >= ell of r^k L_k^(alpha)(x), elementwise.
-
-    Only called in the regime r well below 1, where the series converges
-    geometrically; the direct generating-function difference loses all
-    digits there.
-    """
-    acc = np.zeros_like(x, dtype=complex)
-    rk = np.ones_like(r)
-    calm = 0
-    for k, lk in enumerate(laguerre_sweep(ell + 1999, alpha, x)):
-        if k >= ell:
-            term = rk * lk
-            acc = acc + term
-            if np.max(np.abs(term)) < 1e-17 * max(np.max(np.abs(acc)), 1e-300):
-                calm += 1
-                if calm >= 2:
-                    return acc
-            else:
-                calm = 0
-        rk = rk * r
-    raise RuntimeError("Laguerre tail did not settle; r too close to 1")
-
-
 def _integrand_values(d: int, z: complex, rho: np.ndarray, s: np.ndarray,
-                      tau: np.ndarray, ell: int | None) -> np.ndarray:
+                      tau: np.ndarray) -> np.ndarray:
     """Strip-kernel integrand, elementwise over equal-shape arrays of
-    rows (one quadrature panel or probe set each).
-
-    For ell in (None, 0) this is the plain integrand; positive ell
-    subtracts the first ell terms of the Laguerre generating series from
-    it, switching to a tail resummation wherever the subtraction loses six
-    digits.  The resummation stops on the largest term of all it is
-    given, so it runs row by row: a row's values do not depend on which
-    rows share the call.
-    """
+    rows (one quadrature panel or probe set each)."""
     inv2z = 1.0 / (2.0 * z)
-    base = np.exp(sinh_ratio_log(tau, d)
+    return np.exp(sinh_ratio_log(tau, d)
                   + (1j * tau * s - rho * tau_over_tanh2(tau)) * inv2z)
-    if not ell:
-        return base
-    alpha = d - 1.0
-    at = np.abs(tau)
-    with np.errstate(divide="ignore"):
-        logamp = d * np.log(4.0 * at)
-    x = rho * at * (2.0 * inv2z)
-    r = np.exp(-4.0 * at)
-    pref = np.exp(logamp - 2.0 * d * at + (1j * tau * s - rho * at) * inv2z)
-    lag = laguerre_table(ell - 1, alpha, x)
-    part = np.zeros_like(x, dtype=complex)
-    part_abs = np.zeros_like(at)
-    rk = np.ones_like(r)
-    for k in range(ell):
-        if k:
-            rk = rk * r
-        term = rk * lag[k]
-        part = part + term
-        part_abs = part_abs + np.abs(term)
-    diff = base - pref * part
-    lost = (np.abs(base) + np.abs(pref) * part_abs
-            > _GUARD_RATIO * np.maximum(np.abs(diff), 1e-300))
-    bad = lost & (at > 0.0)
-    for i in np.flatnonzero(np.any(bad, axis=-1)):
-        sel = bad[i]
-        tail = _laguerre_series_tail(ell, alpha, x[i, sel], r[i, sel])
-        diff[i, sel] = pref[i, sel] * tail
-    return diff
 
 
-def _strip_eval(qs: list, z: complex, default_tol: float,
-                ell: int = 0) -> list:
+def _strip_eval(qs: list, z: complex) -> list:
     """KernelValues of the queries qs, which share d, at one time z: one
     lockstep batch of tau integrals."""
     d = qs[0].d
-    rates = [_strip_rate(d, z, q.rho, q.s, ell) for q in qs]
+    rates = [_strip_rate(d, z, q.rho, q.s) for q in qs]
     pref = (4.0 * math.pi * z) ** (-(d + 1))
     rho = np.array([q.rho for q in qs])
     s = np.array([q.s for q in qs])
 
     def f(tau, member):
         return _integrand_values(d, z, along_rows(rho, member, tau),
-                                 along_rows(s, member, tau), tau, ell)
+                                 along_rows(s, member, tau), tau)
 
-    tol = [(q.tol if q.tol is not None else default_tol) / abs(pref)
-           for q in qs]
+    tol = [(q.tol or _DEFAULT_TOL) / abs(pref) for q in qs]
     width = [_osc_panel_width(z, q.rho, q.s) for q in qs]
     val, err, t_cut = integrate_exponential_tail(
         Integrand1D(f, rates, members=len(qs)), tol, max_panel_width=width)
@@ -255,7 +191,7 @@ def heat_kernel_gaveau(q: KernelQuery | Sequence[KernelQuery]
     t = qs[0].t
     if t <= 0.0:
         raise ValueError("heat kernel needs t > 0")
-    vals = _strip_eval(qs, complex(t), _DEFAULT_TOL)
+    vals = _strip_eval(qs, complex(t))
     return vals[0] if isinstance(q, KernelQuery) else vals
 
 
@@ -266,7 +202,7 @@ def schrodinger_kernel(q: KernelQuery | Sequence[KernelQuery]
     t = qs[0].t
     if t == 0.0:
         raise ZeroTime("unitary kernel undefined at t = 0")
-    vals = _strip_eval(qs, complex(0.0, -t), _DEFAULT_TOL)
+    vals = _strip_eval(qs, complex(0.0, -t))
     return vals[0] if isinstance(q, KernelQuery) else vals
 
 
@@ -290,77 +226,57 @@ def kernel_complex_time(q: KernelQuery | Sequence[KernelQuery],
             raise StripViolation(
                 "|s| = %g outside (4d - eps)|z| = %g"
                 % (abs(x.s), (4.0 * d - eps) * abs(z)))
-    vals = _strip_eval(qs, z, _DEFAULT_TOL)
-    return vals[0] if isinstance(q, KernelQuery) else vals
-
-
-def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
-                      ) -> KernelValue | list:
-    """Unitary kernel restricted to Laguerre indices >= ell.
-
-    Strip widens to |s| < 4 (2 ell + d) |t|; at ell = 0 this runs the exact
-    same evaluation as schrodinger_kernel."""
-    ell = int(ell)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    qs = _queries(q)
-    t = qs[0].t
-    if t == 0.0:
-        raise ZeroTime("unitary kernel undefined at t = 0")
-    vals = _strip_eval(qs, complex(0.0, -t), _DEFAULT_TOL_RESTRICTED,
-                       ell=ell)
+    vals = _strip_eval(qs, z)
     return vals[0] if isinstance(q, KernelQuery) else vals
 
 
 # ---------------------------------------------------------------------------
-# Heat kernel as a Laguerre-index series (the transform route)
+# The kernel as a Laguerre-index series (the transform route)
 
-def series_term_closed(d: int, t: float, rho: float, s: float,
+def series_term_closed(d: int, z: complex, rho: float, s: float,
                        ell) -> np.ndarray:
     """Closed form of the lam > 0 half of one series term:
 
     J_ell = integral over lam > 0 of
             lam^(d) exp(-p lam) L_ell^(d-1)(b lam),
-    p = 4 t (2 ell + d) + rho - i s,  b = 2 rho.
+    p = 4 z (2 ell + d) + rho - i s,  b = 2 rho,  Re p >= 0,  p != 0.
 
-    Vectorized over ell.  The term of the kernel series is 2 Re J_ell.
+    Vectorized over ell.  The kernel series' term is J_ell + J_ell at -s.
     ell may also be real: the formula is then a smooth interpolation of
-    the terms, which heat_kernel_series integrates for its tail.
+    the terms, which _series_estimate integrates for its tail.
+    SingularPoint where p = 0.
     """
     ells = np.atleast_1d(np.asarray(ell, dtype=float))
     alpha = d - 1
-    p = 4.0 * t * (2.0 * ells + d) + rho - 1j * s
-    b = 2.0 * rho
-    out = np.empty(ells.size, dtype=complex)
-
+    p = 4.0 * z * (2.0 * ells + d) + rho - 1j * s
+    if not p.all():
+        raise SingularPoint("rho = 0, |s| = %g is the quantized height "
+                            "4|t|(2 ell + d) at ell = %d, where the kernel is "
+                            "infinite" % (abs(s), ells[np.argmax(p == 0.0)]))
+    pb = p - 2.0 * rho
+    coef = np.ones(ells.size)
+    for j in range(1, alpha + 1):
+        coef *= ells + j
+    head = (alpha + 1.0) * p - (ells + alpha + 1.0) * (2.0 * rho)
+    with np.errstate(all="ignore"):     # ell = 0 too, replaced below
+        logpb = np.where(pb == 0.0, 0.0, np.log(pb))
+        expo = (ells - 1.0) * logpb - (ells + alpha + 2.0) * np.log(p)
+        out = coef * np.exp(expo) * head
+    if not pb.all():
+        out[(pb == 0.0) & (ells >= 2.0)] = 0.0
     zero = ells == 0
-    if np.any(zero):
+    if zero.any():
         out[zero] = math.gamma(alpha + 2) * p[zero] ** (-(alpha + 2))
-    pos = ~zero
-    if np.any(pos):
-        lp = ells[pos]
-        pp = p[pos]
-        pb = pp - b
-        coef = np.ones(lp.size)
-        for j in range(1, alpha + 1):
-            coef *= lp + j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpb = np.where(pb == 0.0, 0.0, np.log(pb))
-            expo = (lp - 1.0) * logpb - (lp + alpha + 2.0) * np.log(pp)
-        head = (alpha + 1.0) * pp - (lp + alpha + 1.0) * b
-        val = coef * np.exp(expo) * head
-        val = np.where((pb == 0.0) & (lp >= 2.0), 0.0, val)
-        out[pos] = val
     if np.isscalar(ell) or np.asarray(ell).ndim == 0:
         return complex(out[0])
     return out
 
 
-def series_term_quadrature(d: int, t: float, rho: float, s: float,
+def series_term_quadrature(d: int, z: complex, rho: float, s: float,
                            ell: int, tol: float = 1e-12) -> complex:
-    """Same J_ell by adaptive quadrature; the cross-check route."""
+    """Same J_ell by adaptive quadrature (Re p > 0); the cross-check route."""
     alpha = d - 1.0
-    p = 4.0 * t * (2.0 * ell + d) + rho - 1j * s
+    p = 4.0 * z * (2.0 * ell + d) + rho - 1j * s
     b = 2.0 * rho
 
     def f(lam):
@@ -377,74 +293,119 @@ def series_term_quadrature(d: int, t: float, rho: float, s: float,
     return complex(val)
 
 
-def _series_estimate(f, terms: np.ndarray, n: int) -> float:
-    """Sum of the series terms f(ell) for ell < n (given in terms) plus
+def _exponent_sizes(d, z, rho, s, ells) -> np.ndarray:
+    """1 + |(ell - 1) log(p - b)| + |(ell + d + 1) log p|: eps times this
+    bounds the relative round-off that series_term_closed's exponent puts
+    on its terms."""
+    p = 4.0 * z * (2.0 * ells + d) + rho - 1j * s
+    pb = p - 2.0 * rho
+    logpb = np.log(np.where(pb == 0.0, 1.0, pb))
+    return (1.0 + np.abs((ells - 1.0) * logpb)
+            + np.abs((ells + d + 1.0) * np.log(p)))
+
+
+def _series_estimate(f, head: np.ndarray, end: int):
+    """Sum of the series terms head, those of the levels below end, plus
     the midpoint Euler-Maclaurin tail
 
-        sum over ell >= n of f(ell)
-            ~ integral from n - 1/2 to inf of f + f'(n - 1/2) / 24,
+        sum over ell >= end of f(ell)
+            ~ integral from end - 1/2 to inf of f + f'(end - 1/2) / 24,
 
-    f taken at real ell.  Under ell = (n - 1/2) / u the integral becomes
-    that of ell^2 f / (n - 1/2) over u in (0, 1], smooth because ell^2 f
-    is analytic in 1/ell; 24 Gauss-Legendre nodes take it.  f' is the
-    central difference f(n) - f(n - 1)."""
+    f taken at real ell.  Under ell = (end - 1/2) / u the integral becomes
+    that of ell^2 f / (end - 1/2) over u in (0, 1], smooth because
+    ell^2 f is analytic in 1/ell; 24 Gauss-Legendre nodes take it.  f' is
+    the central difference f(end) - f(end - 1)."""
     x, w = _leggauss(24)
-    half = n - 0.5
+    half = end - 0.5
     ell = half / (0.5 * (x + 1.0))
-    at = f(np.append(ell, n))
-    integral = 0.5 * float(w @ (at[:-1] * ell * ell)) / half
-    return math.fsum(terms[:n]) + integral + (at[-1] - terms[n - 1]) / 24.0
+    at = f(np.append(ell, end))
+    integral = 0.5 * (w @ (at[:-1] * ell * ell)).item() / half
+    total = (complex(math.fsum(head.real), math.fsum(head.imag))
+             if np.iscomplexobj(head) else math.fsum(head))
+    return total + integral + (at[-1] - head[-1]) / 24.0
+
+
+def _series_kernel(d: int, z: complex, rho: float, s: float, ell0: int,
+                   budget: TruncationBudget) -> KernelValue:
+    """The kernel at time z, Re z >= 0, as 2^(d-1) / pi^(d+1) times the sum
+    over ell >= ell0 of J_ell + J_ell at -s (2 Re J_ell at real z).
+
+    n terms are summed and the rest taken by _series_estimate's tail.  n
+    doubles from 256 until ell0 + n passes rho / (4 |z|), so |b / p| < 2/3
+    on the tail at real z, and |s| / (8 |Im z|), so the tail's log(p - b)
+    keeps off its branch cut; then until err, the change from n/2 to n
+    terms plus the round-off floor 1.1e-16 sum |J| _exponent_sizes, meets
+    tol = budget.tail_tolerance.  BudgetExhausted once n would pass
+    budget.max_terms or the floor tol."""
+    tol, max_terms = budget.tail_tolerance, budget.max_terms
+    const = 2.0 ** (d - 1) / math.pi ** (d + 1)
+    reach = max(rho / (4.0 * abs(z)),
+                abs(s) / (8.0 * abs(z.imag)) if z.imag else 0.0)
+    n = 256
+    while ell0 + n <= reach:
+        n *= 2
+    n = min(n, max_terms)
+
+    signs = (s, -s) if z.imag else (s,)
+
+    def terms(ell, bounds=False):
+        """Kernel terms at the levels ell; with bounds also the sum of their
+        round-off bounds, |J| _exponent_sizes over the J of each term."""
+        js = [series_term_closed(d, z, rho, x, ell) for x in signs]
+        value = js[0] + js[1] if z.imag else 2.0 * np.real(js[0])
+        if not bounds:
+            return value
+        return value, (1.0 if z.imag else 2.0) * sum(
+            float(np.sum(np.abs(j) * _exponent_sizes(d, z, rho, x, ell)))
+            for j, x in zip(js, signs))
+
+    head, bound = terms(ell0 + np.arange(n), bounds=True)
+    prev = (_series_estimate(terms, head[:n // 2], ell0 + n // 2) if n >= 2
+            else math.inf)
+    while True:
+        est = _series_estimate(terms, head, ell0 + n)
+        floor = const * 1.1e-16 * bound
+        err = const * abs(est - prev) + floor
+        if err <= tol:
+            return KernelValue(complex(const * est), err, float(n))
+        if floor > tol or 2 * n > max_terms:
+            what = ("round-off floor", floor) if floor > tol else (
+                "tail error", err)
+            raise BudgetExhausted(
+                "%s %.3e above tolerance %.3e after %d terms" % (
+                    what + (tol, n)), value=const * est, err=err, terms=n)
+        more, more_bound = terms(ell0 + np.arange(n, 2 * n), bounds=True)
+        head = np.concatenate([head, more])
+        bound += more_bound
+        prev = est
+        n *= 2
 
 
 def heat_kernel_series(q: KernelQuery,
                        budget: TruncationBudget | None = None) -> KernelValue:
-    """Heat kernel summed over Laguerre indices.
-
-    The first n closed-form terms are summed directly and the rest by the
-    Euler-Maclaurin tail of _series_estimate.  n starts at the larger of
-    256 and the first power of two above rho / (4 t), so that
-    |b / p| < 2/3 on the whole tail, and doubles until err meets
-    budget.tail_tolerance.  err is the change of the estimate from n/2 to
-    n terms plus the round-off floor 1e-16 sum |terms|.  It uses no term
-    beyond n, so budget.max_terms is a hard ceiling on n, which is
-    returned as the truncation point.  BudgetExhausted, carrying the
-    estimate, is raised once doubling would pass max_terms or as soon as
-    the round-off floor alone is above the tolerance."""
-    if budget is None:
-        budget = TruncationBudget()
-    d = q.d
-    t = q.t
-    if t <= 0.0:
+    """Heat kernel summed over Laguerre indices: _series_kernel at z = t."""
+    if q.t <= 0.0:
         raise ValueError("heat kernel needs t > 0")
-    tol = budget.tail_tolerance
-    const = 2.0 ** (d - 1) / math.pi ** (d + 1)
-    n = 256
-    while n <= q.rho / (4.0 * t):
-        n *= 2
-    n = min(n, budget.max_terms)
+    return _series_kernel(q.d, q.t, q.rho, q.s, 0,
+                          budget or TruncationBudget())
 
-    def f(ell):
-        return 2.0 * np.real(series_term_closed(d, t, q.rho, q.s, ell))
 
-    terms = f(np.arange(n))
-    prev = _series_estimate(f, terms, n // 2) if n >= 2 else math.inf
-    while True:
-        est = _series_estimate(f, terms, n)
-        floor = const * 1e-16 * float(np.sum(np.abs(terms)))
-        err = const * abs(est - prev) + floor
-        if err <= tol:
-            return KernelValue(complex(const * est), err, float(n))
-        if floor > tol:
-            raise BudgetExhausted(
-                "round-off floor %.3e above tolerance %.3e after %d terms"
-                % (floor, tol, n), value=const * est, err=err, terms=n)
-        if 2 * n > budget.max_terms:
-            raise BudgetExhausted(
-                "tail error %.3e above tolerance %.3e after %d terms"
-                % (err, tol, n), value=const * est, err=err, terms=n)
-        terms = np.concatenate([terms, f(np.arange(n, 2 * n))])
-        prev = est
-        n *= 2
+def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
+                      ) -> KernelValue | list:
+    """Unitary kernel restricted to Laguerre indices >= ell: at ell = 0
+    schrodinger_kernel, else _series_kernel at z = -it to each query's tol
+    in 2^20 terms.  Finite where rho > 0; SingularPoint on a height."""
+    ell = int(ell)
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    qs = _queries(q)
+    t = qs[0].t
+    if ell == 0 or t == 0.0:            # at t = 0 it raises ZeroTime
+        return schrodinger_kernel(q)
+    vals = [_series_kernel(x.d, complex(0.0, -t), x.rho, x.s, ell,
+                           TruncationBudget(1 << 20, x.tol or _DEFAULT_TOL))
+            for x in qs]
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
 # ---------------------------------------------------------------------------

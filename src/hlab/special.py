@@ -2,11 +2,10 @@
 singular hyperbolic ratios that drive every kernel integrand.
 
 All recurrences are done iteratively in the value domain.  `laguerre_sweep`
-is the one Laguerre recurrence: `laguerre_table`, the restricted-kernel
-series and both radial transforms run through it.  It keeps whatever dtype
-the argument carries, so it also serves the complex arguments that show up
-in restricted kernels.  `laguerre` is the independent reference the tests
-compare against; it adds a power-of-two rescaling beyond degree 150.
+is the one Laguerre recurrence: `laguerre_table` and both radial
+transforms run through it, and it keeps whatever dtype the argument
+carries.  `laguerre` is the independent reference the tests compare
+against; it adds a power-of-two rescaling beyond degree 150.
 """
 
 from __future__ import annotations

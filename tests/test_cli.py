@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 
 import pytest
 
@@ -223,6 +224,35 @@ def test_main_numerical_failure_exit_three(capsys):
     assert out == ""
     assert err.startswith("hlab: numerical failure: panel budget")
     assert err.count("\n") == 1
+
+
+def test_r0_past_what_the_reports_can_run_is_refused(capsys):
+    # dispersion's spectral mass row would build a 375063-node Gauss rule
+    # (a 1 TiB MemoryError); at R0 = 1e20 strichartz-window's convolution
+    # moments overflow and 4 of 10 rows fail
+    for argv, needle in (
+            (["dispersion", "--fast", "--R0", "100"],
+             "R0 = 100 is too large: the spectral mass row's s rule needs "
+             "over 4096 Gauss nodes"),
+            (["strichartz-window", "--fast", "--R0", "1e20"],
+             "R0 = 1e+20 is too large: the onset time, the bump's R0^4 or "
+             "the convolution's moments overflow"),
+            (["strichartz-window", "--fast", "--d", "3", "--R0", "1e11"],
+             "R0 = 1e+11 is too large: the onset time, the bump's R0^4 or "
+             "the convolution's moments overflow")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "hlab: " + needle + "\n"
+    # below the bounds both still run and pass
+    for argv in (["dispersion", "--fast", "--R0", "10"],
+                 ["strichartz-window", "--fast", "--R0", "1e10"],
+                 ["strichartz-window", "--fast", "--d", "3", "--R0", "1e10"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", os.devnull])
+        assert code == 0, argv
+        assert capsys.readouterr().err.endswith("-> PASS\n")
 
 
 def test_heat_equiv_below_the_round_off_floor_exit_three(capsys):

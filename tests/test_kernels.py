@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from hlab import kernels
-from hlab.kernels import (BudgetExhausted, KernelQuery, StripViolation,
-                          ZeroTime, _fixed_tau_rule, _laguerre_series_tail,
+from hlab.kernels import (BudgetExhausted, KernelQuery, SingularPoint,
+                          StripViolation, ZeroTime, _fixed_tau_rule,
                           dispersion_constant, dispersive_onset_time,
                           heat_kernel_gaveau, heat_kernel_series,
                           kernel_complex_time, restricted_kernel,
                           schrodinger_batch, schrodinger_kernel,
                           series_term_closed, series_term_quadrature)
 from hlab.quadrature import gauss_panels, tail_cutoff
-from hlab.special import (TruncationBudget, laguerre_table, sinh_ratio_log,
-                          tau_over_tanh2)
+from hlab.special import TruncationBudget
 
 # Two-route values frozen from the series evaluation at tail tolerance 1e-11
 # (the quadrature route reproduces them to ~1e-9 relative).
@@ -93,6 +92,9 @@ def test_series_past_the_tail_start_guard():
     terms = 2.0 * np.real(series_term_closed(1, t, rho, s, np.arange(1 << 18)))
     direct = math.fsum(terms) / math.pi ** 2
     assert abs(sr.value.real - direct) <= sr.quad_error
+    # the value is all round-off, and the floor weighted by each term's
+    # exponent says so; 1e-16 sum |terms| read 9.6e-20 against 3.6e-19
+    assert sr.quad_error >= abs(sr.value)
 
 
 def test_heat_kernel_where_the_integrand_underflows():
@@ -255,19 +257,89 @@ def test_restricted_kernel_reduces_to_unitary_at_zero():
 
 
 def test_restricted_kernel_widens_the_strip():
-    # |s| = 8 |t| sits outside the plain strip but inside ell = 1
-    q = KernelQuery(t_or_z=1.0, rho=0.5, s=8.0, tol=1e-8)
-    with pytest.raises(StripViolation):
-        schrodinger_kernel(q)
-    v = restricted_kernel(1, q)
-    assert np.isfinite(v.value)
-    assert abs(v.value) < 1.0
-    with pytest.raises(StripViolation):
+    # the series has no strip: off the ell = 0 strip |s| < 4 d |t| the
+    # restricted kernels are finite wherever rho > 0, past 4 (2 ell + d)|t|
+    # too
+    for d, ell in ((1, 1), (1, 2), (2, 1)):
+        for s in (9.0, -13.0, 37.0):
+            q = KernelQuery(d=d, t_or_z=1.0, rho=0.5, s=s, tol=1e-8)
+            if abs(s) >= 4.0 * d:
+                with pytest.raises(StripViolation):
+                    schrodinger_kernel(q)
+            v = restricted_kernel(ell, q)
+            assert np.isfinite(v.value) and 0.0 < abs(v.value) < 1.0
+            assert v.quad_error <= 1e-8
+    # rho = 0, s = 12 = 4 t (2 ell + d) at ell = 1: a quantized height
+    with pytest.raises(SingularPoint) as got:
         restricted_kernel(1, KernelQuery(t_or_z=1.0, s=12.0))
+    assert str(got.value) == (
+        "rho = 0, |s| = 12 is the quantized height 4|t|(2 ell + d) at "
+        "ell = 1, where the kernel is infinite")
+    with pytest.raises(SingularPoint):
+        restricted_kernel(1, KernelQuery(t_or_z=-0.5, s=-10.0))   # ell' = 2
+    with pytest.raises(SingularPoint):          # p = 0 at -s, ell = 1
+        series_term_closed(1, complex(0.0, -1.0), 0.0, -12.0, [0, 1, 2])
+    # below the tail's first level the height is no singularity
+    assert np.isfinite(restricted_kernel(
+        2, KernelQuery(t_or_z=1.0, s=12.0)).value)
     with pytest.raises(ValueError):
-        restricted_kernel(-1, q)
+        restricted_kernel(-1, KernelQuery(t_or_z=1.0))
     with pytest.raises(ZeroTime):
         restricted_kernel(1, KernelQuery(t_or_z=0.0))
+
+
+def test_restricted_kernel_near_a_height_exhausts_its_budget():
+    # Next to the height s = 12 one term of size 1 / (s - 12)^2 dominates;
+    # its round-off, not the tail, then decides whether tol can be met.
+    # 1e-3 away it can, and err covers a 30-digit sum of the series;
+    # 1e-5 away the floor alone is above tol 1e-8.
+    q = KernelQuery(t_or_z=1.0, rho=0.0, s=12.001)
+    v = restricted_kernel(1, q)
+    assert abs(v.value + 101321.18687229939) <= v.quad_error <= 1e-8
+    with pytest.raises(BudgetExhausted) as exc:
+        restricted_kernel(1, KernelQuery(t_or_z=1.0, rho=0.0, s=12.00001))
+    got = exc.value
+    assert str(got).startswith("round-off floor")
+    assert got.err > 1e-8 and got.terms == 256
+    assert abs(got.value) > 1e9
+
+
+# The tau route's restricted kernel at tol 1e-13 (its stated errors
+# 5.1e-14 to 7.2e-14), before the series replaced it.  A 30-digit sum
+# of the series meets the series within 2e-16 at all four points; the
+# tau route misses the third by 3.6e-13, near its strip edge 16.
+_TAU_ROUTE_RESTRICTED = [
+    (1, 1, 1.0, 0.5, 8.0, -0.007085119916629478 + 0.005089120287314697j),
+    (1, 2, 2.0, 0.25, -30.0, -0.001421414607102452 + 0.0002930042994004979j),
+    (2, 1, 1.0, 0.7, -14.0, -0.0292599036033924 + 0.011216430133084414j),
+    (2, 2, 0.5, 1.5, 9.0, 0.00674256849836253 + 0.014700356770092042j),
+]
+
+
+def test_restricted_kernel_matches_the_tau_route_off_the_strip():
+    for d, ell, t, rho, s, want in _TAU_ROUTE_RESTRICTED:
+        got = restricted_kernel(ell, KernelQuery(d=d, t_or_z=t, rho=rho,
+                                                 s=s, tol=1e-13))
+        assert abs(got.value - want) <= 1e-12, (d, ell, t, rho, s)
+        assert got.quad_error <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_restricted_kernel_is_the_series_tail_inside_the_strip(d):
+    # S_t = the first ell terms J(p+) + J(p-), each by quadrature at
+    # z = -it, plus the restricted kernel from ell
+    const = 2.0 ** (d - 1) / math.pi ** (d + 1)
+    for t, rho, s in ((2.0, 1.3, -5.0), (0.7, 2.0, 2.0), (1.5, 3.0, -4.5)):
+        z = complex(0.0, -t)
+        plain = schrodinger_kernel(
+            KernelQuery(d=d, t_or_z=t, rho=rho, s=s, tol=1e-13)).value
+        for ell in (1, 2):
+            head = sum(series_term_quadrature(d, z, rho, sign * s, k,
+                                              tol=1e-12)
+                       for k in range(ell) for sign in (1.0, -1.0))
+            tail = restricted_kernel(ell, KernelQuery(d=d, t_or_z=t, rho=rho,
+                                                      s=s, tol=1e-13)).value
+            assert abs(const * head + tail - plain) <= 1e-13, (t, rho, s, ell)
 
 
 def _triples(values):
@@ -291,29 +363,12 @@ def test_kernel_batches_keep_lone_bits():
                         tol=1e-11) for q in unit]
     assert _triples(kernel_complex_time(near, eps=0.5)) == _triples(
         [kernel_complex_time(q, eps=0.5) for q in near])
-    # both strips of the restricted kernel, its tail resummation included
+    # the restricted kernel, inside and outside the ell = 0 strip
     for ell in (1, 2):
         restr = [KernelQuery(t_or_z=2.0, rho=0.25, s=s, tol=1e-10)
                  for s in (0.0, 4.0, 4.0 * (ell + 1) + 4.0)]
         assert _triples(restricted_kernel(ell, restr)) == _triples(
             [restricted_kernel(ell, q) for q in restr])
-
-
-def test_integrand_rows_do_not_depend_on_their_neighbours():
-    # two panels of restricted-kernel nodes (ell = 3) at different (rho, s),
-    # both resummed by the tail series, which stops on the largest term it
-    # is given: run on the two rows at once it would round the first row
-    # differently than the row alone
-    t = 0.58
-    nodes = np.linspace(-1.0, 1.0, 15)
-    tau = np.array([0.93 + 0.62 * nodes, 1.72 + 0.62 * nodes])
-    rho = np.repeat([3.2, 1.45], 15).reshape(tau.shape)
-    s = np.repeat([-3.2, -3.8], 15).reshape(tau.shape)
-    z = complex(0.0, -t)
-    both = kernels._integrand_values(1, z, rho, s, tau, 3)
-    alone = [kernels._integrand_values(1, z, rho[i:i + 1], s[i:i + 1],
-                                       tau[i:i + 1], 3)[0] for i in (0, 1)]
-    assert both.tobytes() == np.array(alone).tobytes()
 
 
 def test_kernel_batches_share_one_time():
@@ -375,31 +430,6 @@ def test_kernel_batch_bits_do_not_depend_on_blas_threads():
                               check=True)
         digests.append(proc.stdout)
     assert len(digests[0]) == 65 and digests[0] == digests[1]
-
-
-def test_tail_resummation_matches_direct_subtraction():
-    # Where the generating-series subtraction still carries six digits the
-    # guard never fires; this checks the replacement agrees with what it
-    # would replace, far below the guard threshold.
-    d, ell_top = 1, 3
-    z = complex(0.0, -1.0)
-    inv2z = 1.0 / (2.0 * z)
-    rho, s = 1.2, 0.9
-    for ell in (2, ell_top):
-        for tau in (0.8, 1.2, 1.6, 2.0):
-            ta = np.array([tau])
-            at = np.abs(ta)
-            base = np.exp(sinh_ratio_log(ta, d)
-                          + (1j * ta * s - rho * tau_over_tanh2(ta)) * inv2z)
-            x = rho * at * (2.0 * inv2z)
-            r = np.exp(-4.0 * at)
-            pref = np.exp(d * np.log(4.0 * at) - 2.0 * d * at
-                          + (1j * ta * s - rho * at) * inv2z)
-            lag = laguerre_table(ell - 1, 0.0, x)
-            part = sum((r ** k) * lag[k] for k in range(ell))
-            direct = base - pref * part
-            tail = pref * _laguerre_series_tail(ell, 0.0, x, r)
-            assert abs(direct[0] - tail[0]) <= 1e-13 * abs(base[0])
 
 
 def test_series_terms_closed_vs_quadrature():
@@ -529,9 +559,6 @@ def test_strip_violations_carry_the_one_message():
     for raise_it, args in (
             (lambda: schrodinger_kernel(KernelQuery(t_or_z=1.0, rho=0.3,
                                                     s=4.5)), (z, 0.3, 4.5)),
-            (lambda: restricted_kernel(1, KernelQuery(t_or_z=1.0, rho=0.3,
-                                                      s=-12.5)),
-             (z, 0.3, -12.5, 1)),
             (lambda: schrodinger_batch(1, 1.0, [0.3, 0.1], [4.5, -1.0]),
              (z, 0.3, 4.5))):
         with pytest.raises(StripViolation) as got:
