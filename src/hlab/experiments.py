@@ -64,12 +64,12 @@ class ExperimentConfig:
                     name, ",".join("%g" % v for v in np.atleast_1d(value))))
         if self.r0 <= 0:
             raise ConfigError("R0 must be positive")
-        if self.experiment in ("dispersion", "strichartz-window",
-                               "kernel-consistency"):
-            if self.experiment == "kernel-consistency" and self.d != 1:
-                # its transform route misses the tolerance at d = 2
-                raise ConfigError("%s is computed only at d = 1, not d = %d"
-                                  % (self.experiment, self.d))
+        if self.experiment == "kernel-consistency" and self.d != 1:
+            # its transform route misses the tolerance at d = 2
+            raise ConfigError("%s is computed only at d = 1, not d = %d"
+                              % (self.experiment, self.d))
+        reads = READS[self.experiment]
+        if "kappa" in reads:
             if self.kappa <= 0:
                 # the gauge balls of radius kappa sqrt(t) would be empty
                 raise ConfigError("kappa = %g must be positive" % self.kappa)
@@ -77,8 +77,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     "kappa = %g too large: the dispersion constant needs "
                     "kappa^2 < 4 d = %d" % (self.kappa, 4 * self.d))
-        if self.experiment in ("dispersion", "strichartz-window",
-                               "kernel-consistency", "mkappa"):
+        if "r0" in reads:
             # R0 enters these reports through Python floats, which raise
             # OverflowError past 1.8e308: the onset time, at mkappa's
             # largest kappa, the bump's R0^4 and the convolution's moments,
@@ -342,7 +341,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     for eps in (1e-2, 1e-3, 1e-4):
         vals = [v.value for v in kernel_complex_time(
             [KernelQuery(d=d, t_or_z=complex(eps, -t_c), rho=r, s=s,
-                         tol=1e-11) for (r, s) in pts], eps=0.5)]
+                         tol=1e-11) for (r, s) in pts])]
         diff = max(abs(a - b) for a, b in zip(vals, base))
         ratio = float("nan") if prev is None else diff / prev
         ok = prev is None or diff < prev
@@ -535,8 +534,8 @@ def run_concentrate(cfg: ExperimentConfig) -> ExperimentReport:
     for ell in (0, 1, 2):
         for sign in (1, -1):
             data = LineData(ell=ell, lambda_sign=sign, d=d)
-            probe = concentration_probe(data, t, rho_values=(0.0, 0.4, 1.1))
-            for rho, mv, st in zip((0.0, 0.4, 1.1), probe.moving,
+            probe = concentration_probe(data, t)
+            for rho, mv, st in zip(probe.rho, probe.moving,
                                    probe.stationary):
                 err = abs(mv - st) / max(abs(st), 1e-300)
                 rows.append(("equality", ell, sign, rho, probe.s_star,

@@ -530,12 +530,12 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
 
 
 def forward_coefficient(f: RadialFunction, ell: int, lam: float,
-                        n_rho: int = 256, n_s: int | None = None) -> complex:
-    """Single transform value at one frequency, by direct quadrature."""
+                        n_rho: int = 256) -> complex:
+    """Single transform value at one frequency, by direct quadrature: Gauss
+    rules of n_rho nodes in rho and 64 more than analyze's in s."""
     point = FrequencyPoint(ell, lam)
     d = f.d
-    if n_s is None:
-        n_s = _default_n_s(f.support_s, abs(point.lam)) + 64
+    n_s = _default_n_s(f.support_s, abs(point.lam)) + 64
     rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
     s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
@@ -597,11 +597,12 @@ def evolve_schrodinger(c: SpectralCoefficients, t: float) -> SpectralCoefficient
 # ---------------------------------------------------------------------------
 # Finite difference sublaplacian (a test oracle for the symbol)
 
-def sublaplacian_fd(f: Callable, w: GroupPoint, h: float = 1e-3):
-    """Second order finite difference for the sum of squared horizontal
-    fields.  The field flows are right translations, so the stencil points
-    are w . (h e_j, 0, 0) and w . (0, h e_j, 0)."""
+def sublaplacian_fd(f: Callable, w: GroupPoint):
+    """Second order finite difference, step h = 1e-3, for the sum of
+    squared horizontal fields.  The field flows are right translations, so
+    the stencil points are w . (h e_j, 0, 0) and w . (0, h e_j, 0)."""
     d = w.d
+    h = 1e-3
     base = 2.0 * d * 2.0 * f(w)
     acc = -base
     for j in range(d):

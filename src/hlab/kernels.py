@@ -9,12 +9,13 @@ integral over a real line variable tau:
 with z = t for heat, z = -i t for the unitary flow, and general z in the
 closed right half plane in between.  The integrand magnitude is controlled
 by exp((2d) |tau|) times the exponential factors, which yields the strip
-conditions below; outside the strip the integral has no exponential
-envelope and the evaluator refuses to run.
+condition of _strip_rate, the one strip test; outside the strip the
+integral has no exponential envelope and every evaluator refuses to run.
 
 The Laguerre series of _series_kernel (Thangavelu 1998) gives heat and,
 from level ell on, restricted kernels.  It has no strip: at z = -it it is
 finite unless rho = 0 and |s| is a quantized height 4 |t| (2 ell + d).
+Its tail rule also sums the dispersion constants over the levels.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import backend
-from .quadrature import (Integrand1D, _leggauss, along_rows, gauss_panels,
-                         integrate_exponential_tail, tail_cutoff)
+from .quadrature import (MAX_PANELS, Integrand1D, QuadratureError, _leggauss,
+                         along_rows, gauss_panels, integrate_exponential_tail,
+                         tail_cutoff)
 from .special import (TruncationBudget, laguerre_table, sinh_ratio_log,
                       tau_over_tanh2)
 
@@ -206,26 +208,18 @@ def schrodinger_kernel(q: KernelQuery | Sequence[KernelQuery]
     return vals[0] if isinstance(q, KernelQuery) else vals
 
 
-def kernel_complex_time(q: KernelQuery | Sequence[KernelQuery],
-                        eps: float = 0.05) -> KernelValue | list:
+def kernel_complex_time(q: KernelQuery | Sequence[KernelQuery]
+                        ) -> KernelValue | list:
     """Kernel at complex time z, Re z >= 0, z != 0.
 
-    Requires |s| < (4 d - eps) |z| so the integrand keeps an exponential
-    envelope with a margin; StripViolation otherwise."""
+    StripViolation where _strip_rate finds no exponential envelope (for
+    z = -it, outside |s| < 4 d |t|)."""
     qs = _queries(q)
-    d = qs[0].d
     z = qs[0].z
     if z == 0:
         raise ZeroTime("kernel undefined at z = 0")
     if z.real < 0.0:
         raise ValueError("need Re z >= 0")
-    if not 0.0 < eps < 4.0 * d:
-        raise ValueError("eps must lie in (0, 4d)")
-    for x in qs:
-        if abs(x.s) >= (4.0 * d - eps) * abs(z):
-            raise StripViolation(
-                "|s| = %g outside (4d - eps)|z| = %g"
-                % (abs(x.s), (4.0 * d - eps) * abs(z)))
     vals = _strip_eval(qs, z)
     return vals[0] if isinstance(q, KernelQuery) else vals
 
@@ -411,46 +405,46 @@ def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
 # ---------------------------------------------------------------------------
 # Dispersion constants
 
-def dispersion_constant(kappa, d: int = 1, tol: float = 1e-10,
-                        signed: bool = False):
+def dispersion_constant(kappa, d: int = 1, signed: bool = False):
     """Sup-norm constant of the unitary kernel on the region |s| <= kappa^2 |t|:
 
     M_kappa = (4 pi)^(-(d+1)) integral of
-              (2 tau / sinh 2 tau)^d exp(kappa^2 |tau| / 2).
+              (2 tau / sinh 2 tau)^d exp(kappa^2 |tau| / 2)
+            = d! / (2 (4 pi)^(d+1)) sum over ell of
+              C(ell + d - 1, d - 1) (ell + b)^(-(d+1)),
 
-    Finite exactly when kappa^2 < 4 d; raises ValueError at or beyond.
-    The signed variant replaces |tau| by tau, which by symmetry integrates
-    cosh(kappa^2 tau / 2) and is smaller.  A sequence of kappas gives a
-    list of constants, integrated as one lockstep batch."""
+    b = (4d - kappa^2) / 8, term by term in (2 tau / sinh 2 tau)^d =
+    (4 |tau|)^d sum over ell of C(ell + d - 1, d - 1) exp(-(2d + 4 ell)
+    |tau|); 256 levels are summed and the rest taken by _series_estimate's
+    tail.  Finite exactly when kappa^2 < 4 d; raises ValueError at or
+    beyond.  The signed variant replaces |tau| by tau, which integrates
+    cosh(kappa^2 tau / 2): the mean of the sums at b and at
+    (4d + kappa^2) / 8, and smaller.  A sequence of kappas gives a list
+    of constants."""
     kappas = [float(k) for k in np.atleast_1d(kappa)]
-    rates = []
     for k in kappas:
         if k < 0.0:
             raise ValueError("kappa must be nonnegative")
-        rates.append(2.0 * d - 0.5 * k * k)
-        if rates[-1] <= 0.0:
+        if not k * k < 4.0 * d:
             raise ValueError(
                 "dispersion integral diverges for kappa^2 >= 4d (kappa = %g)"
                 % k)
-    k2 = np.array([0.5 * k * k for k in kappas])
 
-    # in logs: at large tau the plain ratio underflows while exp(k2 tau)
-    # overflows; the combined exponent is bounded whenever rate > 0
-    def f(tau, member):
-        a = np.abs(tau)
-        lr = sinh_ratio_log(a, d)
-        ka = along_rows(k2, member, a) * a
+    def level_sum(b):
+        def terms(ell):
+            mult = np.ones_like(ell)
+            for j in range(1, d):
+                mult *= (ell + j) / j
+            return mult * (ell + b) ** (-(d + 1.0))
+        return _series_estimate(terms, terms(np.arange(256.0)), 256)
+
+    const = math.factorial(d) / (2.0 * (4.0 * math.pi) ** (d + 1))
+    out = []
+    for k in kappas:
+        sums = [level_sum((4.0 * d - k * k) / 8.0)]
         if signed:
-            return 0.5 * (np.exp(lr + ka) + np.exp(lr - ka))
-        return np.exp(lr + ka)
-
-    # Near the endpoint the integral grows like 1/rate; an absolute tol
-    # there would sit below the composite-rule round-off floor, so read
-    # tol relative to that magnitude once it exceeds one.
-    tol_eff = [tol * max(1.0, 2.0 / rate) for rate in rates]
-    val, _, _ = integrate_exponential_tail(
-        Integrand1D(f, rates, members=len(kappas)), tol_eff)
-    out = [float(np.real(v)) / (4.0 * math.pi) ** (d + 1) for v in val]
+            sums.append(level_sum((4.0 * d + k * k) / 8.0))
+        out.append(const * math.fsum(sums) / len(sums))
     return out[0] if np.ndim(kappa) == 0 else out
 
 
@@ -484,6 +478,8 @@ def _unitary_tau_rule(d: int, t: float, smax: float, rho_max: float,
     Gauss panels by the phase speed at the corner (rho_max, smax); where
     the phase is slow it is min(t_cut, 16), the cap _osc_panel_width puts
     on fast phases too."""
+    if t == 0.0:
+        raise ZeroTime("unitary kernel undefined at t = 0")
     z = complex(0.0, -t)
     rate = _strip_rate(d, z, rho_max, smax)
 
@@ -502,8 +498,6 @@ def schrodinger_batch(d: int, t: float, rho, s, tol: float = 1e-6):
     All points must satisfy the strip condition; StripViolation names the
     worst offender otherwise.  Returns (values, err_estimate)."""
     t = float(t)
-    if t == 0.0:
-        raise ZeroTime("unitary kernel undefined at t = 0")
     rho = np.ascontiguousarray(rho, dtype=float).reshape(-1)
     s = np.ascontiguousarray(s, dtype=float).reshape(-1)
     if rho.size != s.size:
@@ -526,8 +520,14 @@ def schrodinger_batch(d: int, t: float, rho, s, tol: float = 1e-6):
 
 def _fixed_tau_rule(t_cut: float, width: float):
     """16-node Gauss panels of width at most width on [0, T], mirrored
-    onto [-T, 0]: a rule symmetric in tau with a panel edge at 0."""
-    n_half = max(1, int(math.ceil(t_cut / width)))
+    onto [-T, 0]: a rule symmetric in tau with a panel edge at 0.
+    QuadratureError past MAX_PANELS panels a side, as T grows like
+    1 / rate toward the strip's edge."""
+    n_half = max(1, math.ceil(min(t_cut / width, MAX_PANELS + 1)))
+    if n_half > MAX_PANELS:
+        raise QuadratureError(
+            "tau rule needs over %d panels a side (T = %.6g, width %.3g)"
+            % (MAX_PANELS, t_cut, width))
     pos, wpos = gauss_panels(0.0, t_cut, n_half, 16)
     tau = np.concatenate([-pos[::-1], pos])
     w = np.concatenate([wpos[::-1], wpos])

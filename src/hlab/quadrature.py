@@ -110,6 +110,10 @@ for _i in range(1, 4):
 
 _EPS = np.finfo(float).eps
 
+# The panel budget of one adaptive integral, and of one side of a fixed
+# tau rule (kernels._fixed_tau_rule)
+MAX_PANELS = 4000
+
 
 def _rowwise(f: Callable) -> Callable:
     """A lone integrand f(x) as the batch-of-one integrand f(x, member):
@@ -163,21 +167,29 @@ def _gk_panels(fv: Callable, member, lo, hi) -> list:
     return [_gk_panel(y[i], h[i]) for i in range(len(h))]
 
 
-def _initial_edges(a: float, b: float, width, breakpoints) -> list:
+def _initial_edges(a: float, b: float, width, breakpoints,
+                   max_panels: int) -> list | None:
     """Panel edges on [a, b]: the breakpoints inside it, then each piece
-    cut into equal panels no wider than width (None or <= 0: uncut)."""
+    cut into equal panels no wider than width (None or <= 0: uncut).
+    None, before any edge is built, if that takes over max_panels panels."""
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
-    if width is not None and width > 0.0:
-        refined = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(1, math.ceil((hi - lo) / width))
-            refined.extend(np.linspace(lo, hi, n + 1)[:-1])
-        refined.append(b)
-        edges = refined
-    return edges
+    if width is None or not width > 0.0:
+        return edges
+    # clipped, so that a cut-off near an envelope's edge, where it grows
+    # like 1 / rate, cannot overflow the count
+    counts = [max(1, math.ceil(min((hi - lo) / width, max_panels + 1)))
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    if sum(counts) > max_panels:
+        return None
+    refined = []
+    for lo, hi, n in zip(edges[:-1], edges[1:], counts):
+        refined.extend(np.linspace(lo, hi, n + 1)[:-1])
+    refined.append(b)
+    return refined
 
 
-def integrate_adaptive(f: Callable, a, b, tol, max_panels: int = 4000,
+def integrate_adaptive(f: Callable, a, b, tol,
+                       max_panels: int = MAX_PANELS,
                        max_panel_width=None,
                        breakpoints: Sequence[float] = (),
                        members: int | None = None):
@@ -217,21 +229,30 @@ def integrate_adaptive(f: Callable, a, b, tol, max_panels: int = 4000,
             raise ValueError("need b > a")
 
     # every member's first panels in one call; one counter orders the heap
-    # ties of all members as each member's own counter would
-    first = [(m, lo, hi) for m in range(n)
-             for lo, hi in itertools.pairwise(
-                 _initial_edges(a[m], b[m], width[m], breakpoints))]
+    # ties of all members as each member's own counter would.  A member
+    # whose first cut is over budget fails before any panel is built.
     heaps = [[] for _ in range(n)]
     counter = itertools.count()
     totals = [0.0 + 0.0j] * n
     errs = [0.0] * n
-    for (m, lo, hi), (v, e) in zip(first, _gk_panels(fv, *zip(*first))):
-        totals[m] += v
-        errs[m] += e
-        heapq.heappush(heaps[m], (-e, next(counter), lo, hi, v, e))
-
     failed = {}
-    active = range(n)
+    first = []
+    for m in range(n):
+        edges = _initial_edges(a[m], b[m], width[m], breakpoints, max_panels)
+        if edges is None:
+            failed[m] = ("panel budget %d exhausted by the first cut of "
+                         "[%.6g, %.6g] at width %.3g"
+                         % (max_panels, a[m], b[m], width[m]))
+            errs[m] = math.inf
+            break               # members past the first failure are moot
+        first.extend((m, lo, hi) for lo, hi in itertools.pairwise(edges))
+    if first:
+        for (m, lo, hi), (v, e) in zip(first, _gk_panels(fv, *zip(*first))):
+            totals[m] += v
+            errs[m] += e
+            heapq.heappush(heaps[m], (-e, next(counter), lo, hi, v, e))
+
+    active = range(min(failed, default=n))
     while True:
         split = []
         for m in active:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fourier import (RadialFunction, SpectralCoefficients,
                       single_sign_lambda_grid)
-from .kernels import StripViolation, _fixed_tau_rule, _unitary_tau_rule
+from .kernels import _fixed_tau_rule, _unitary_tau_rule
 from .quadrature import (GridSpec, _leggauss, _panel_mids, along_rows,
                          gauss_panels, grid_nodes_weights,
                          integrate_adaptive)
@@ -226,21 +226,23 @@ class LineData:
 @dataclass
 class ConcentrationProbe:
     s_star: float
+    rho: np.ndarray
     moving: np.ndarray
     stationary: np.ndarray
 
 
-def concentration_probe(data: LineData, t: float,
-                        rho_values=(0.0, 0.4, 1.1)) -> ConcentrationProbe:
-    """Exact concentration identity u(t, Y, s*) = u(0, Y, 0).
+def concentration_probe(data: LineData, t: float) -> ConcentrationProbe:
+    """Exact concentration identity u(t, Y, s*) = u(0, Y, 0) at
+    rho = |Y|^2 = 0, 0.4 and 1.1.
 
     The moving side uses the fixed-grid route, the stationary side the
     adaptive route, so agreement is a real two-route check."""
-    rho_values = np.asarray(rho_values, dtype=float)
+    rho = np.array([0.0, 0.4, 1.1])
     s_star = data.concentration_point(t)
-    moving = data.value(t, rho_values, np.full_like(rho_values, s_star))
-    stationary = data.value_adaptive(0.0, rho_values, 0.0)
-    return ConcentrationProbe(s_star=s_star, moving=np.atleast_1d(moving),
+    moving = data.value(t, rho, np.full_like(rho, s_star))
+    stationary = data.value_adaptive(0.0, rho, 0.0)
+    return ConcentrationProbe(s_star=s_star, rho=rho,
+                              moving=np.atleast_1d(moving),
                               stationary=stationary)
 
 
@@ -273,12 +275,13 @@ class DecayFit:
 _FLOOR_MARGIN = 1e3
 
 
-def hyperplane_decay_exponent(data: LineData, t: float, rho: float = 0.0,
+def hyperplane_decay_exponent(data: LineData, t: float,
                               n_points: int = 7) -> DecayFit:
     """Fitted decay rate of |u(t)| in the distance to the moving hyperplane.
 
-    Samples the envelope of |u| at geometrically spaced offsets from the
-    hyperplane and least-squares fits log |u| = c - e * log(offset).
+    Samples the envelope of |u| on the axis rho = 0 at geometrically
+    spaced offsets from the hyperplane and least-squares fits
+    log |u| = c - e * log(offset).
     Each envelope sample is the maximum over a window wide enough to
     contain a full period of the kink-phase realignment, and the fit uses
     the offset where the maximum was attained, so piecewise smooth
@@ -300,7 +303,7 @@ def hyperplane_decay_exponent(data: LineData, t: float, rho: float = 0.0,
     for i, delta in enumerate(offsets):
         local = delta * np.linspace(0.82, 1.22, 161)
         vals, floors = data.value_with_floor(
-            t, np.full_like(local, rho), s_star + data.lambda_sign * local)
+            t, np.zeros_like(local), s_star + data.lambda_sign * local)
         vals = np.abs(vals)
         j = int(np.argmax(vals))
         xs[i] = local[j]
@@ -409,9 +412,11 @@ def evolve_by_convolution(u0: RadialFunction, t: float, points, *,
 
     Every pair has |s| <= max |s_w| + S + 2 sqrt(max rho_w R) and
     rho <= (sqrt(max rho_w) + sqrt(R))^2, S and R the supports of u0.
-    The tau rule is _unitary_tau_rule's for these bounds; StripViolation
-    if the first reaches the strip 4 d |t|.  The error bound adds the
-    change when the tau panels are halved and the change on the
+    The tau rule is _unitary_tau_rule's for these bounds: ZeroTime at
+    t = 0, StripViolation (kernels._strip_rate's) if the first reaches
+    the strip 4 d |t|, and QuadratureError if the rule, or its halved
+    probe, would take over MAX_PANELS panels a side.  The error bound
+    adds the change when the tau panels are halved and the change on the
     every-other-node source sub-rule.  Returns (values, err_bound)."""
     d = u0.d
     t = float(t)
@@ -424,11 +429,6 @@ def evolve_by_convolution(u0: RadialFunction, t: float, points, *,
     big_r, big_s = u0.support_rho, u0.support_s
     smax = float(np.max(np.abs(qs))) + big_s + 2.0 * math.sqrt(rho_w * big_r)
     rho_max = (math.sqrt(rho_w) + math.sqrt(big_r)) ** 2
-    band = 4.0 * d * abs(t)
-    if smax >= band:
-        raise StripViolation(
-            "translated source box reaches |s| = %g >= strip %g; "
-            "grow t or shrink the box" % (smax, band))
     z, t_cut, width = _unitary_tau_rule(d, t, smax, rho_max, tol)
     pref = (4.0 * math.pi * z) ** (-(d + 1))
 

@@ -216,14 +216,29 @@ def test_dispersion_times_follow_the_onset_time(capsys):
 
 
 def test_main_numerical_failure_exit_three(capsys):
-    # at d = 2 the dispersion constant's quadrature runs out of panels
-    # near the endpoint kappa^2 = 4d
-    code = main(["mkappa", "--d", "2"])
+    # at t = 0.001 the heat integrand's phase cuts its tau range into
+    # over 4000 panels before the first is evaluated
+    code = main(["heat-equiv", "--t", "0.001"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("hlab: numerical failure: panel budget")
+    assert err.startswith("hlab: numerical failure: "
+                          "panel budget 4000 exhausted by the first cut")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mkappa_reaches_the_endpoint_at_d2_and_d3(capsys, d):
+    # the level sum's first term b^(-(d+1)), b = (4d - kappa^2) / 8,
+    # dominates at the endpoint: b ten times smaller multiplies M_kappa
+    # by about 10^(d+1)
+    assert main(["mkappa", "--d", str(d)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "mkappa: 8/8 rows pass -> PASS\n"
+    growth = [row.split(",") for row in out.splitlines()
+              if row.startswith("endpoint-growth,")]
+    assert len(growth) == 1
+    assert float(growth[0][3]) == pytest.approx(10.0 ** (d + 1), rel=1e-3)
 
 
 def test_r0_past_what_the_reports_can_run_is_refused(capsys):

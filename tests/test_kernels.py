@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -17,8 +18,11 @@ from hlab.kernels import (BudgetExhausted, KernelQuery, SingularPoint,
                           kernel_complex_time, restricted_kernel,
                           schrodinger_batch, schrodinger_kernel,
                           series_term_closed, series_term_quadrature)
-from hlab.quadrature import gauss_panels, tail_cutoff
-from hlab.special import TruncationBudget
+from hlab.quadrature import (Integrand1D, QuadratureError,
+                             QuadratureNonConvergence, along_rows,
+                             gauss_panels, integrate_exponential_tail,
+                             tail_cutoff)
+from hlab.special import TruncationBudget, sinh_ratio_log
 
 # Two-route values frozen from the series evaluation at tail tolerance 1e-11
 # (the quadrature route reproduces them to ~1e-9 relative).
@@ -230,7 +234,7 @@ def test_complex_time_interpolates_the_flows():
     errs = []
     for eps in (0.1, 0.01, 0.001):
         qc = KernelQuery(t_or_z=complex(eps, -1.0), rho=0.5, s=0.8, tol=1e-11)
-        errs.append(abs(kernel_complex_time(qc, eps=0.05).value - ref))
+        errs.append(abs(kernel_complex_time(qc).value - ref))
     assert errs[1] / errs[0] < 0.2
     assert errs[2] / errs[1] < 0.2
 
@@ -240,12 +244,18 @@ def test_complex_time_domain_checks():
         kernel_complex_time(KernelQuery(t_or_z=0j))
     with pytest.raises(ValueError):
         kernel_complex_time(KernelQuery(t_or_z=-0.1 + 1j))
-    with pytest.raises(ValueError):
-        kernel_complex_time(KernelQuery(t_or_z=1j), eps=0.0)
-    with pytest.raises(ValueError):
-        kernel_complex_time(KernelQuery(t_or_z=1j), eps=4.0)
-    with pytest.raises(StripViolation):
-        kernel_complex_time(KernelQuery(t_or_z=1j, s=3.96), eps=0.05)
+    # the strip is _strip_rate's alone: no margin parameter, its message
+    with pytest.raises(TypeError):
+        kernel_complex_time(KernelQuery(t_or_z=1j), eps=0.05)
+    with pytest.raises(StripViolation) as got:
+        kernel_complex_time(KernelQuery(t_or_z=1j, s=4.0))
+    with pytest.raises(StripViolation) as want:
+        kernels._strip_rate(1, 1j, 0.0, 4.0)
+    assert str(got.value) == str(want.value)
+    # just inside the edge the cut-off grows like 1 / rate until the
+    # panel budget runs out
+    with pytest.raises(QuadratureNonConvergence):
+        kernel_complex_time(KernelQuery(t_or_z=1j, s=3.999999))
 
 
 def test_restricted_kernel_reduces_to_unitary_at_zero():
@@ -361,8 +371,8 @@ def test_kernel_batches_keep_lone_bits():
         [schrodinger_kernel(q) for q in unit])
     near = [KernelQuery(t_or_z=complex(1e-3, -1.0), rho=q.rho, s=q.s,
                         tol=1e-11) for q in unit]
-    assert _triples(kernel_complex_time(near, eps=0.5)) == _triples(
-        [kernel_complex_time(q, eps=0.5) for q in near])
+    assert _triples(kernel_complex_time(near)) == _triples(
+        [kernel_complex_time(q) for q in near])
     # the restricted kernel, inside and outside the ell = 0 strip
     for ell in (1, 2):
         restr = [KernelQuery(t_or_z=2.0, rho=0.25, s=s, tol=1e-10)
@@ -393,6 +403,66 @@ def test_dispersion_constants_batch_over_kappa():
                        for k in kappas]
     with pytest.raises(ValueError):
         dispersion_constant([1.0, 2.0])
+
+
+def _m_kappa_by_quadrature(kappas, d, signed):
+    """The constants by the tau integral itself, in logs, to an absolute
+    tol 1e-10 widened by 2 / rate near the endpoint: the cross-check
+    route of the level sum."""
+    k2 = np.array([0.5 * k * k for k in kappas])
+    rates = [2.0 * d - k for k in k2]
+
+    def f(tau, member):
+        a = np.abs(tau)
+        lr = sinh_ratio_log(a, d)
+        ka = along_rows(k2, member, a) * a
+        if signed:
+            return 0.5 * (np.exp(lr + ka) + np.exp(lr - ka))
+        return np.exp(lr + ka)
+
+    val, _, _ = integrate_exponential_tail(
+        Integrand1D(f, rates, members=len(kappas)),
+        [1e-10 * max(1.0, 2.0 / r) for r in rates])
+    return [float(np.real(v)) / (4.0 * math.pi) ** (d + 1) for v in val]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dispersion_constant_level_sum_matches_the_tau_integral(d):
+    # mkappa's kappas; at d = 2 and 3 the quadrature runs out of panels
+    # past kappa^2 / 4d = 0.81
+    top = math.sqrt(4.0 * d)
+    kappas = [0.0, 0.3 * top, 0.5 * top, 0.7 * top, 0.9 * top,
+              math.sqrt(4.0 * d - 0.1), math.sqrt(4.0 * d - 0.01)]
+    if d > 1:
+        kappas = kappas[:5]
+    for signed in (False, True):
+        got = dispersion_constant(kappas, d, signed=signed)
+        assert all(type(v) is float for v in got)
+        want = _m_kappa_by_quadrature(kappas, d, signed)
+        for k, g, w in zip(kappas, got, want):
+            assert abs(g - w) <= 5e-11 * w, (d, k, signed, g, w)
+
+
+def test_dispersion_constant_head_length_is_converged():
+    # 256 levels plus the tail against 4096 plus the tail, up to d = 12
+    # and at mkappa's endpoint kappa^2 = 4d - 0.01
+    def level_sum(d, b, n):
+        def terms(ell):
+            mult = np.prod([(ell + j) / j for j in range(1, d)], axis=0)
+            return mult * (ell + b) ** (-(d + 1.0))
+        return kernels._series_estimate(terms, terms(np.arange(n * 1.0)), n)
+
+    for d in range(1, 13):
+        const = math.factorial(d) / (2.0 * (4.0 * math.pi) ** (d + 1))
+        for frac in (0.0, 0.5, 0.9, 1.0 - 0.0025 / d):
+            kappa = math.sqrt(frac * 4.0 * d)
+            plus = (4.0 * d + kappa * kappa) / 8.0
+            minus = (4.0 * d - kappa * kappa) / 8.0
+            ref = const * level_sum(d, minus, 4096)
+            ref_signed = 0.5 * (ref + const * level_sum(d, plus, 4096))
+            assert abs(dispersion_constant(kappa, d) - ref) <= 1e-12 * ref
+            assert abs(dispersion_constant(kappa, d, signed=True)
+                       - ref_signed) <= 1e-12 * ref_signed
 
 
 _THREADS_SCRIPT = """
@@ -476,6 +546,15 @@ def test_batch_matches_scalar_unitary():
         schrodinger_batch(1, 0.0, [0.0], [0.0])
     with pytest.raises(ValueError):
         schrodinger_batch(1, 0.8, [0.0, 1.0], [0.0])
+
+
+def test_batch_refuses_a_tau_rule_over_the_panel_budget():
+    # Toward the strip's edge the cut-off grows like 1 / rate: at
+    # s = 3.9996 the rule would take 11531 panels of width 16 a side.
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match="over 4000 panels a side"):
+        schrodinger_batch(1, 1.0, [0.5], [3.9996])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_batch_error_probe_on_a_single_panel():

@@ -119,6 +119,8 @@ def _members():
         # panel width underflow at the jump after 69 splits
         "jump": (lambda x: np.where(x < edge, 1.0, 0.0), 0.0, 1.0, 1e-15,
                  None),
+        # exact on any panel, but width 0.005 cuts it into 200 panels
+        "first cut": (lambda x: x * x, 0.0, 1.0, 1e-13, 0.005),
     }
 
 
@@ -199,6 +201,24 @@ def test_lockstep_batch_raises_its_lowest_failing_member():
     jump, _ = _lone(specs[4])
     assert "underflow" in str(jump) and "budget" in str(exc)
     assert rows[4] < panels
+
+
+def test_a_first_cut_over_the_budget_fails_before_any_panel():
+    # 200 first panels against the budget of 100: the member fails before
+    # any panel is evaluated, alone or in a batch, and the batch still
+    # raises its lowest failing member
+    members = _members()
+    lone, panels = _lone(members["first cut"])
+    assert isinstance(lone, QuadratureNonConvergence)
+    assert panels == 0 and lone.member == 0
+    assert str(lone).startswith("panel budget 100 exhausted by the first cut")
+    specs = [members[n] for n in ("capped", "first cut", "budget")]
+    exc, rows = _batch(specs)
+    assert exc.member == 1 and str(exc) == str(lone)
+    assert rows == [_lone(specs[0])[1], 0, 0]   # past member 1: moot
+    exc, _ = _batch([members["budget"], members["first cut"]])
+    assert exc.member == 0
+    assert str(exc) == str(_lone(members["budget"])[0])
 
 
 def test_lockstep_batch_of_tail_integrals_keeps_lone_bits():

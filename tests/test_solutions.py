@@ -11,9 +11,9 @@ import pytest
 from hlab.experiments import _ball_grid, _evolved_ball_norms
 from hlab.fourier import bump_profile, synthesize
 from hlab.group import GroupPoint
-from hlab.kernels import (KernelQuery, StripViolation, schrodinger_batch,
-                          schrodinger_kernel)
-from hlab import solutions
+from hlab.kernels import (KernelQuery, StripViolation, ZeroTime,
+                          schrodinger_batch, schrodinger_kernel)
+from hlab import kernels, solutions
 from hlab.quadrature import (gauss_panels, integrate_adaptive,
                              radial_ball_norms, radial_ball_rule,
                              simpson_rule)
@@ -134,6 +134,7 @@ def test_concentration_identity():
         p = concentration_probe(data, 3.0)
         assert isinstance(p, ConcentrationProbe)
         assert p.s_star == -sign * data.drift(3.0)
+        np.testing.assert_array_equal(p.rho, [0.0, 0.4, 1.1])
         assert np.max(np.abs(p.moving - p.stationary)) < 1e-10
 
 
@@ -378,11 +379,17 @@ def test_radial_ball_norms_match_a_polar_gauss_rule():
 
 
 def test_convolution_strip_guard():
+    # the box of pairs, |s| <= 0 + 1 + 0 and rho <= (0 + 1)^2, meets the
+    # strip 4 d t = 0.8: _strip_rate refuses it with its own message
     u0 = bump_profile(1.0)
     origin = [GroupPoint(np.array([0.0]), np.array([0.0]), 0.0)]
     with pytest.raises(StripViolation) as exc:
         evolve_by_convolution(u0, 0.2, origin)
-    assert "grow t or shrink the box" in str(exc.value)
+    with pytest.raises(StripViolation) as want:
+        kernels._strip_rate(1, complex(0.0, -0.2), 1.0, 1.0)
+    assert str(exc.value) == str(want.value)
+    with pytest.raises(ZeroTime):
+        evolve_by_convolution(u0, 0.0, origin)
     with pytest.raises(ValueError, match="dimension mismatch"):
         evolve_by_convolution(u0, 1.0,
                               [GroupPoint(np.zeros(2), np.zeros(2), 0.0)])
