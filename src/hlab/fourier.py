@@ -17,8 +17,11 @@ distinct |lam|; synthesize forms c+- = even +- odd row by row there,
 folds them with the weights into an even and an odd row, applies the
 unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them, one complex
 product per ell by angle addition, and sums both against one Laguerre
-sweep.  Every real part that is identically zero is skipped on either
-side.
+sweep.  It streams over blocks of points and chunks of |lam|, forming
+each row on a chunk just before the sweep uses it, so its memory is one
+(points, |lam|) accumulator per block and real component, not a table
+over (ell, |lam|).  Every real part that is identically zero is skipped
+on either side.
 """
 
 from __future__ import annotations
@@ -363,7 +366,10 @@ def _join(re, im):
 
 
 _FWD_CHUNK = 16_384
-_INV_CHUNK = 32_768     # (points x distinct |lam|) elements per synthesis block
+_INV_CHUNK = 32_768     # (points x distinct |lam|) elements per synthesis chunk
+# points per synthesis block: a block shares each chunk's rows and phase, so
+# their cost per point falls with the block, while its accumulator grows
+_INV_POINTS = 16
 _PANEL_NODES = 24
 _PANEL_WIDTH = 1.0      # panel width in |lam| times max(support_rho, support_s)
 _PANEL_PROBE = 1e-13
@@ -436,12 +442,19 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     times |lam|^d at that sign's node, or 0 where the grid lacks it.
     Both rows take the flow's phase by angle addition: with
     beta = 4 t |lam|, exp(i beta d) at ell = 0, then one product by
-    exp(2 i beta) per row.  That is two complex exponentials over |lam|
-    in all, and the products add a rounding that grows like ell eps.
-    Each real component of E and O that is not identically zero is
-    summed over ell against one Laguerre sweep over (points, distinct
-    |lam|); the bump on a mirrored grid has O = 0 exactly and skips it.
-    The |lam| sum against exp(-|lam| rho) cos(s |lam|) (E) and
+    exp(2 i beta) per row, and the products add a rounding that grows
+    like ell eps.  Each real component of E and O is summed over ell
+    against one Laguerre sweep.
+
+    The points go in blocks of up to _INV_POINTS and the |lam| in chunks
+    of _INV_CHUNK elements per block.  Within a chunk each ell's rows
+    and phase are formed on the chunk alone and used at once by every
+    point of the block, so no (ell, |lam|) table is built; what stays is
+    each block's accumulator, one (points, |lam|) table per real
+    component.  A component is allocated at its first nonzero chunk, so
+    one that is identically zero (the imaginary ones at t = 0, O for the
+    bump on a mirrored grid) costs neither memory nor sweep time.  Each
+    point's sum over |lam| against exp(-|lam| rho) cos(s |lam|) (E) and
     sin(s |lam|) (O) closes it.
     """
     d = c.d
@@ -450,6 +463,10 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     shape = rho_b.shape
     rho_f = rho_b.reshape(-1)
     s_f = s_b.reshape(-1)
+    t = float(t)
+    if not (np.isfinite(rho_f).all() and np.isfinite(s_f).all()
+            and math.isfinite(t)):
+        raise ValueError("rho, s and t must be finite")
     if np.any(rho_f < 0.0):
         raise ValueError("rho must be nonnegative")
     lam = c.lambda_grid
@@ -461,62 +478,87 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     w_minus = np.zeros(nodes.size)
     w_minus[c._inv[:n_neg]] = wl[:n_neg]
     w_plus[c._inv[n_neg:]] = wl[n_neg:]
-    beta = 4.0 * float(t) * nodes
-    phase = np.exp(1j * d * beta)
-    step = np.exp(2j * beta)
-    # parts[(odd?, imaginary?)]: the rows of one real component, allocated
-    # at its first nonzero row, so a component that is identically zero
-    # costs neither memory nor sweep time
-    parts = {}
-    for ell in range(c.ell_max + 1):
-        e_row = None if c.even is None else c.even[ell]
-        o_row = None if c.odd is None else c.odd[ell]
-        if o_row is None:
-            plus = minus = e_row
-        elif e_row is None:
-            plus, minus = o_row, -o_row
-        else:
-            plus, minus = e_row + o_row, e_row - o_row
-        plus = plus * w_plus
-        minus = minus * w_minus
-        if ell:
-            phase *= step
-        for odd, folded in ((False, plus + minus), (True, plus - minus)):
-            if not np.any(folded):
-                continue
-            folded = folded * phase
-            for imag, comp in ((False, folded.real), (True, folded.imag)):
-                if (odd, imag) in parts:
-                    parts[odd, imag][ell] = comp
-                elif np.any(comp):
-                    parts[odd, imag] = np.zeros((c.ell_max + 1, nodes.size))
-                    parts[odd, imag][ell] = comp
-    keys = sorted(parts)
+    beta = 4.0 * t * nodes
     const = 2.0 ** (d - 1) / math.pi ** (d + 1)
     out = np.zeros(rho_f.size, dtype=complex)
-    rows = max(1, _INV_CHUNK // nodes.size)
+    # equal blocks of at most _INV_POINTS points, or of more on a grid
+    # short enough that a block's accumulator holds no more than
+    # _INV_CHUNK elements per component
+    most = max(_INV_POINTS, _INV_CHUNK // nodes.size)
+    n_blocks = max(1, -(-rho_f.size // most))
+    rows = max(1, -(-rho_f.size // n_blocks))
     for lo in range(0, rho_f.size, rows):
         hi = min(lo + rows, rho_f.size)
-        x = 2.0 * np.outer(rho_f[lo:hi], nodes)            # (points, |lam|)
-        acc = np.empty((len(keys),) + x.shape)
-        term = np.empty(x.shape)
-        for ell, lk in enumerate(laguerre_sweep(c.ell_max, d - 1.0, x)):
-            for p, key in enumerate(keys):
+        # acc[(odd?, imaginary?)]: one real component's sum over ell, held
+        # chunk by chunk, (chunk, point, |lam| in the chunk), so that the
+        # sweep adds into one contiguous block
+        acc = {}
+        width = max(1, _INV_CHUNK // (hi - lo))
+        n_chunks = -(-nodes.size // width)
+        for k, a in enumerate(range(0, nodes.size, width)):
+            b = min(a + width, nodes.size)
+            x = 2.0 * np.outer(rho_f[lo:hi], nodes[a:b])    # (points, |lam|)
+            term = np.empty(x.shape)
+            phase = np.exp(1j * d * beta[a:b])
+            step = np.exp(2j * beta[a:b])
+            wp, wm = w_plus[a:b], w_minus[a:b]
+            for ell, lk in enumerate(laguerre_sweep(c.ell_max, d - 1.0, x)):
+                e_row = None if c.even is None else c.even[ell, a:b]
+                o_row = None if c.odd is None else c.odd[ell, a:b]
+                if o_row is None:
+                    plus = minus = e_row
+                elif e_row is None:
+                    plus, minus = o_row, -o_row
+                else:
+                    plus, minus = e_row + o_row, e_row - o_row
+                plus = plus * wp
+                minus = minus * wm
                 if ell:
-                    np.multiply(lk, parts[key][ell], out=term)
-                    acc[p] += term
-                else:                                       # L_0 = 1
-                    acc[p] = parts[key][0]
-        damp = np.exp(-0.5 * x)                         # exp(-rho |lam|)
-        arg = np.outer(s_f[lo:hi], nodes)
-        trig = {odd: damp * (np.sin(arg) if odd else np.cos(arg))
-                for odd in {odd for odd, _ in keys}}
-        for p, (odd, imag) in enumerate(keys):
-            # each point's sum over |lam| on its own, in one fixed order: a
-            # BLAS product would round differently with the BLAS thread
-            # count, and a blocked einsum with the points in its block
-            part = np.array([np.einsum("j,j->", a, b)
-                             for a, b in zip(trig[odd], acc[p])])
+                    # not in place: numpy multiplies a one-element complex
+                    # array in place by another loop, with other bits
+                    phase = phase * step
+                for odd, folded in ((False, plus + minus),
+                                    (True, plus - minus)):
+                    if not folded.any():
+                        continue
+                    folded = folded * phase
+                    # each component in its own contiguous row, which
+                    # every point of the block then reads
+                    for imag, comp in ((False, folded.real.copy()),
+                                       (True, folded.imag.copy())):
+                        if (odd, imag) not in acc:
+                            if not comp.any():
+                                continue
+                            acc[odd, imag] = np.zeros(
+                                (n_chunks, hi - lo, width))
+                        dest = acc[odd, imag][k, :, :b - a]
+                        if ell:
+                            np.multiply(lk, comp, out=term)
+                            dest += term
+                        else:                               # L_0 = 1
+                            dest[...] = comp
+        keys = sorted(acc)
+        sums = np.empty((len(keys), hi - lo))
+        # the closing sums, over _INV_CHUNK elements (or one point) at a time
+        per = max(1, _INV_CHUNK // nodes.size)
+        for i in range(0, hi - lo, per):
+            j = min(i + per, hi - lo)
+            damp = np.exp(-np.outer(rho_f[lo + i:lo + j], nodes))
+            arg = np.outer(s_f[lo + i:lo + j], nodes)
+            trig = {odd: damp * (np.sin(arg) if odd else np.cos(arg))
+                    for odd in {odd for odd, _ in keys}}
+            for p, (odd, imag) in enumerate(keys):
+                # each point's row over all |lam|, contiguous
+                full = np.ascontiguousarray(
+                    acc[odd, imag][:, i:j].transpose(1, 0, 2)).reshape(
+                        j - i, -1)[:, :nodes.size]
+                # each point's sum over |lam| on its own, in one fixed
+                # order: a BLAS product would round differently with the
+                # BLAS thread count, and a blocked einsum with the points
+                # in its block
+                sums[p, i:j] = [np.einsum("j,j->", tr, row)
+                                for tr, row in zip(trig[odd], full)]
+        for (odd, imag), part in zip(keys, sums):
             # i sin(s |lam|) times the odd row: O.re into the imaginary
             # component, O.im into the real one with a minus sign
             if odd and imag:

@@ -298,21 +298,28 @@ def _exponent_sizes(d, z, rho, s, ells) -> np.ndarray:
             + np.abs((ells + d + 1.0) * np.log(p)))
 
 
-def _series_estimate(f, head: np.ndarray, end: int):
+def _tail_levels(end: int) -> np.ndarray:
+    """The 25 real levels at which _series_estimate takes the terms: 24
+    Gauss-Legendre nodes ell = (end - 1/2) / u, u in (0, 1), then end."""
+    x, _ = _leggauss(24)
+    return np.append((end - 0.5) / (0.5 * (x + 1.0)), end)
+
+
+def _series_estimate(head: np.ndarray, end: int, at: np.ndarray):
     """Sum of the series terms head, those of the levels below end, plus
     the midpoint Euler-Maclaurin tail
 
         sum over ell >= end of f(ell)
             ~ integral from end - 1/2 to inf of f + f'(end - 1/2) / 24,
 
-    f taken at real ell.  Under ell = (end - 1/2) / u the integral becomes
-    that of ell^2 f / (end - 1/2) over u in (0, 1], smooth because
-    ell^2 f is analytic in 1/ell; 24 Gauss-Legendre nodes take it.  f' is
-    the central difference f(end) - f(end - 1)."""
-    x, w = _leggauss(24)
+    from at, f taken at real ell on _tail_levels(end).  Under
+    ell = (end - 1/2) / u the integral becomes that of ell^2 f / (end - 1/2)
+    over u in (0, 1], smooth because ell^2 f is analytic in 1/ell; 24
+    Gauss-Legendre nodes take it.  f' is the central difference
+    f(end) - f(end - 1)."""
+    _, w = _leggauss(24)
     half = end - 0.5
-    ell = half / (0.5 * (x + 1.0))
-    at = f(np.append(ell, end))
+    ell = _tail_levels(end)[:-1]
     integral = 0.5 * (w @ (at[:-1] * ell * ell)).item() / half
     total = (complex(math.fsum(head.real), math.fsum(head.imag))
              if np.iscomplexobj(head) else math.fsum(head))
@@ -354,10 +361,14 @@ def _series_kernel(d: int, z: complex, rho: float, s: float, ell0: int,
             for j, x in zip(js, signs))
 
     head, bound = terms(ell0 + np.arange(n), bounds=True)
-    prev = (_series_estimate(terms, head[:n // 2], ell0 + n // 2) if n >= 2
+    # the tail levels at n/2 and at n in one call of terms
+    ends = [ell0 + n // 2, ell0 + n] if n >= 2 else [ell0 + n]
+    at = terms(np.concatenate([_tail_levels(end) for end in ends]))
+    prev = (_series_estimate(head[:n // 2], ends[0], at[:25]) if n >= 2
             else math.inf)
+    at = at[-25:]
     while True:
-        est = _series_estimate(terms, head, ell0 + n)
+        est = _series_estimate(head, ell0 + n, at)
         floor = const * 1.1e-16 * bound
         err = const * abs(est - prev) + floor
         if err <= tol:
@@ -373,6 +384,7 @@ def _series_kernel(d: int, z: complex, rho: float, s: float, ell0: int,
         bound += more_bound
         prev = est
         n *= 2
+        at = terms(_tail_levels(ell0 + n))
 
 
 def heat_kernel_series(q: KernelQuery,
@@ -436,7 +448,8 @@ def dispersion_constant(kappa, d: int = 1, signed: bool = False):
             for j in range(1, d):
                 mult *= (ell + j) / j
             return mult * (ell + b) ** (-(d + 1.0))
-        return _series_estimate(terms, terms(np.arange(256.0)), 256)
+        return _series_estimate(terms(np.arange(256.0)), 256,
+                                terms(_tail_levels(256)))
 
     const = math.factorial(d) / (2.0 * (4.0 * math.pi) ** (d + 1))
     out = []

@@ -455,9 +455,10 @@ def test_synthesize_matches_plain_loop(case, t, monkeypatch):
     s = np.array([0.0, -0.7, 2.0, -3.1, 5.5, 0.4, -1.9])
     want, mass = _synthesize_reference(c, rho, s, t)
     got = [synthesize(c, rho, s, t)]
-    # three points per chunk: the seven points take three chunks
-    monkeypatch.setattr(fourier, "_INV_CHUNK",
-                        3 * np.unique(np.abs(c.lambda_grid)).size)
+    # two points per block, each swept over |lam| chunks of a third of
+    # the grid: the seven points take four blocks of up to three chunks
+    monkeypatch.setattr(fourier, "_INV_POINTS", 2)
+    monkeypatch.setattr(fourier, "_INV_CHUNK", 2 * (c.nodes.size // 3 + 1))
     got.append(synthesize(c, rho, s, t))
     for g in got:
         assert np.all(np.abs(g - want) <= 1e-13 * mass)
@@ -465,7 +466,10 @@ def test_synthesize_matches_plain_loop(case, t, monkeypatch):
 
 def test_synthesize_bits_do_not_depend_on_the_block(monkeypatch):
     # over 8192 distinct |lam| (more than numpy's einsum buffer) a point's
-    # value must not depend on which points share its block
+    # value must not depend on which points share its block, nor on where
+    # the block's |lam| chunks end: the four points together take chunks
+    # of 8192 and 809 nodes, four of 2250 and a last of one node, then
+    # one of 9001; each point alone takes one chunk
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 9001, 1)
     c = analyze(bump_profile(1.0), ell_max=3,
                 lambda_grid=np.concatenate([-gp[::-1], gp]),
@@ -473,16 +477,46 @@ def test_synthesize_bits_do_not_depend_on_the_block(monkeypatch):
                 n_rho=32, n_s=33)
     rho = np.array([0.0, 0.4, 1.3, 2.2])
     s = np.array([0.3, -1.1, 0.0, 2.5])
-    monkeypatch.setattr(fourier, "_INV_CHUNK", 4 * gp.size)
-    together = synthesize(c, rho, s, 2.5)
-    alone = [synthesize(c, r, x, 2.5) for r, x in zip(rho, s)]
-    assert together.tobytes() == np.array(alone).tobytes()
+    alone = np.array([synthesize(c, r, x, 2.5) for r, x in zip(rho, s)])
+    for chunk in (fourier._INV_CHUNK, 9001 + 1, 4 * 9001):
+        monkeypatch.setattr(fourier, "_INV_CHUNK", chunk)
+        assert synthesize(c, rho, s, 2.5).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, 2.5])
+@pytest.mark.parametrize("case", [1, 2, "complex", "one-sided", "line"])
+def test_synthesize_bits_do_not_depend_on_the_chunks(case, t, monkeypatch):
+    # 37 points on grids of 60 to 129 |lam|.  Under _INV_CHUNK = 1 and 143
+    # they take three blocks (13, 13 and 11 points) of chunks one node
+    # wide, then 143 // 13 = 11 and 143 // 11 = 13 wide, which divide no
+    # grid's node count here; under the default they take one block and
+    # one chunk, as each point alone does.  At t = 0 every imaginary
+    # component is zero and skipped, and so is the odd one of the bump on
+    # its mirrored grid (case 1)
+    c = _synthesis_case(case)
+    monkeypatch.setattr(fourier, "_INV_POINTS", 16)
+    assert 143 // c.nodes.size < 16
+    assert all(c.nodes.size % w for w in (11, 13))
+    rng = np.random.default_rng(23)
+    rho = rng.uniform(0.0, 3.0, 37)
+    rho[0] = 0.0
+    s = rng.uniform(-4.0, 4.0, 37)
+    alone = np.array([synthesize(c, r, x, t) for r, x in zip(rho, s)])
+    for chunk in (1, 143, fourier._INV_CHUNK):
+        monkeypatch.setattr(fourier, "_INV_CHUNK", chunk)
+        assert synthesize(c, rho, s, t).tobytes() == alone.tobytes()
 
 
 def test_synthesize_rejects_negative_rho():
+    # negative rho, and any rho, s or t that is not finite, which would
+    # otherwise come back as nan
     c, _ = _band_limited()
-    with pytest.raises(ValueError):
-        synthesize(c, np.array([-0.1]), np.array([0.0]))
+    for rho, s, t in ((-0.1, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                      (math.inf, 0.0, 0.0), (0.5, math.inf, 0.0),
+                      (0.5, -math.nan, 1.0), (0.5, 1.0, math.nan),
+                      (0.5, 1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            synthesize(c, np.array([0.2, rho]), np.array([0.0, s]), t)
 
 
 _FLOW_CASES = [1, 2, "shifted", "complex", "one-sided", "line"]
@@ -514,12 +548,46 @@ def test_flow_multipliers_act_blockwise(case):
                   + 1e-13 * np.abs(want))
 
 
+def _peak_bytes(fn):
+    """Traced peak of fn() above what was allocated when it started."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_synthesize_streams_the_evolved_rows():
+    # kernel-consistency --fast's synthesis: ell_max 48, 32501 distinct
+    # |lam| and ten points.  Rows formed over the whole grid before the
+    # sweep would take 2 T for the bump's two components, T one real
+    # (ell_max + 1) x 32501 table; the block's accumulators, 20 of the 49
+    # rows of a T, are what stays
+    gp, wp = single_sign_lambda_grid(5e-4, 40.0, 32501, 1)
+    c = analyze(bump_profile(1.0), ell_max=48,
+                lambda_grid=np.concatenate([-gp[::-1], gp]),
+                lambda_weights=np.concatenate([wp[::-1], wp]),
+                n_rho=225, n_s=193)
+    rho, s = np.linspace(0.0, 2.0, 10), np.linspace(-2.0, 2.0, 10)
+    # numpy imports and caches what its first calls need
+    synthesize(analyze(bump_profile(1.0), ell_max=2, n_rho=8, n_s=9),
+               rho, s, 2.5)
+    peak = _peak_bytes(lambda: synthesize(c, rho, s, 2.5))
+    assert peak < 49 * gp.size * 8
+
+
 def test_transform_keeps_no_signed_table(monkeypatch):
     # kernel-consistency's route at its --fast ell_max on 8001 lam per
-    # sign, one point per synthesis block as at its 32501 nodes.  With T
-    # one real (ell_max + 1) x 8001 table, the bump's even part is T and
-    # synthesize's evolved rows 2 T; a complex table on the signed grid
-    # would be 4 T alone
+    # sign, with ten |lam| chunks per synthesis block as at its 32501
+    # nodes.  With T one real (ell_max + 1) x 8001 table, the bump's even
+    # part is T, and neither analyze's work nor synthesize's accumulators
+    # take another (1.77 T in all); a complex table on the signed grid
+    # would be 4 T alone, and evolved rows over the whole grid 2 T more
     f = bump_profile(1.0)
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 8001, 1)
     grid = np.concatenate([-gp[::-1], gp])
@@ -528,19 +596,13 @@ def test_transform_keeps_no_signed_table(monkeypatch):
     # numpy imports and caches what its first calls need
     synthesize(analyze(f, ell_max=2, n_rho=8, n_s=9), rho, s, 2.5)
     monkeypatch.setattr(fourier, "_INV_CHUNK", gp.size)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+
+    def transform():
         c = analyze(f, ell_max=48, lambda_grid=grid, lambda_weights=w,
                     n_rho=225, n_s=193)
         synthesize(c, rho, s, 2.5)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak <= 4 * 49 * gp.size * 8
+
+    assert _peak_bytes(transform) <= 2 * 49 * gp.size * 8
 
 
 def test_finite_difference_matches_symbol():

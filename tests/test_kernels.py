@@ -450,7 +450,8 @@ def test_dispersion_constant_head_length_is_converged():
         def terms(ell):
             mult = np.prod([(ell + j) / j for j in range(1, d)], axis=0)
             return mult * (ell + b) ** (-(d + 1.0))
-        return kernels._series_estimate(terms, terms(np.arange(n * 1.0)), n)
+        return kernels._series_estimate(terms(np.arange(n * 1.0)), n,
+                                        terms(kernels._tail_levels(n)))
 
     for d in range(1, 13):
         const = math.factorial(d) / (2.0 * (4.0 * math.pi) ** (d + 1))
