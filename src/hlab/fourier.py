@@ -9,25 +9,28 @@ Plancherel weight |lam|^d.  The sublaplacian acts diagonally with symbol
 4 |lam| (2 ell + d).
 
 Only the vertical character exp(i s lam) tells lam from -lam, so the
-coefficients live on the distinct |lam|: SpectralCoefficients stores
+coefficients live on the distinct |lam|: SpectralCoefficients holds
 c(ell, lam) = even(ell, |lam|) + sign(lam) odd(ell, |lam|), and the table
 over the signed grid is built only on request (its `values`).  analyze
 takes the even and odd parts as real cosine and sine transforms at the
-distinct |lam|; synthesize forms c+- = even +- odd row by row there,
-folds them with the weights into an even and an odd row, applies the
-unitary flow's phase exp(4 i t |lam| (2 ell + d)) to them, one complex
-product per ell by angle addition, and sums both against one Laguerre
-sweep.  It streams over blocks of points and chunks of |lam|, forming
-each row on a chunk just before the sweep uses it, so its memory is one
-(points, |lam|) accumulator per block and real component, not a table
-over (ell, |lam|).  Every real part that is identically zero is skipped
-on either side.
+distinct |lam|; on a grid of many |lam| it keeps them on a Gauss-Legendre
+panel rule in |lam|, and each read of c's rows interpolates them onto
+the |lam| it asks for.  synthesize reads the rows of c chunk by chunk,
+forms c+- = even +- odd there, folds them with the weights into an even
+and an odd row, applies the unitary flow's phase
+exp(4 i t |lam| (2 ell + d)) to them, one complex product per ell by
+angle addition, and sums both against one Laguerre sweep.  It streams
+over blocks of points and chunks of |lam|, reading each chunk's rows
+just before the sweep uses them, so its memory is one (points, |lam|)
+accumulator per block and real component, and no table over
+(ell, |lam|) is built.  Every real part that is identically zero is
+skipped on either side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,86 +85,87 @@ class FrequencyPoint:
             raise ValueError("lam must be nonzero")
 
 
-@dataclass
 class SpectralCoefficients:
     """Transform values on a product grid of Laguerre indices and lam nodes.
 
     lambda_grid is sorted and never contains 0, and weights are the
     positive quadrature weights for integrals d(lam) over it.  The values
-    are stored on the distinct |lam| of the grid, `nodes` (ascending), as
+    live on the distinct |lam| of the grid, `nodes` (ascending), as
 
         c(ell, lam) = even(ell, |lam|) + sign(lam) odd(ell, |lam|),
 
     the parts of the vertical character's cosine and sine; even and odd
-    have shape (ell_max + 1, nodes.size), in C order.  A part whose
-    imaginary component is zero is stored as a real array, any other as
-    a complex one.  None stands for a part that is identically zero:
-    analyze gives it for the bump's odd part, say, and gives zero data a
-    real zero even part, which carries ell_max.  Where the grid holds
-    only one sign of some |lam|, the split there is not unique, and any
-    split with the right sum serves.  `values` unfolds c onto the signed
-    grid, a new complex table on each read, for tests and small callers;
-    the transforms never build that table.
+    have shape (ell_max + 1, nodes.size).  A part whose imaginary
+    component is zero is a real array, any other a complex one.  None
+    stands for a part that is identically zero: analyze gives it for the
+    bump's odd part, say, and gives zero data a real zero even part,
+    which carries ell_max.  Where the grid holds only one sign of some
+    |lam|, the split there is not unique, and any split with the right
+    sum serves.
+
+    `rows(a, b)` reads both parts on nodes[a:b], and the transforms read
+    c through it alone.  Built from tables, c holds them in C order and
+    its rows are their slices.  analyze on its panel rule keeps instead
+    the parts' values on the rule's nodes, and each read interpolates
+    them onto just the nodes it asks for, so no (ell_max + 1) x
+    nodes.size table is held.  `even` and `odd` read a whole part (on the
+    panel rule, a new table on each read), and `values` unfolds c onto
+    the signed grid, a new complex table on each read; both serve tests
+    and small callers.
     """
 
-    d: int
-    lambda_grid: np.ndarray
-    weights: np.ndarray
-    even: np.ndarray | None
-    odd: np.ndarray | None = None
-    nodes: np.ndarray = field(init=False, repr=False)
-    _inv: np.ndarray = field(init=False, repr=False)
+    def __init__(self, d: int, lambda_grid, weights, even, odd=None):
+        grid = _signed_grid(lambda_grid, weights)
+        self._set(d, grid, _tables(even, odd, grid[2].size), None)
 
-    def __post_init__(self):
-        self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.lambda_grid.ndim != 1:
-            raise ValueError("lambda_grid must be one dimensional")
-        if np.any(self.lambda_grid == 0.0):
-            raise ValueError("lambda_grid must not contain 0")
-        if np.any(np.diff(self.lambda_grid) <= 0.0):
-            raise ValueError("lambda_grid must be strictly increasing")
-        if self.weights.shape != self.lambda_grid.shape:
-            raise ValueError("weights must match lambda_grid")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
-        self.nodes, self._inv = np.unique(np.abs(self.lambda_grid),
-                                          return_inverse=True)
-        shapes = set()
-        for name in ("even", "odd"):
-            part = getattr(self, name)
-            if part is None:
-                continue
-            part = np.asarray(part)
-            if np.iscomplexobj(part) and not np.any(part.imag):
-                part = part.real
-            # C order, whatever the caller passed: the sums over |lam| in
-            # synthesize then see one memory layout
-            part = np.ascontiguousarray(
-                part, dtype=complex if np.iscomplexobj(part) else float)
-            if part.ndim != 2 or part.shape[1] != self.nodes.size:
-                raise ValueError("%s must have shape (ell_max + 1, number "
-                                 "of distinct |lam|)" % name)
-            shapes.add(part.shape)
-            setattr(self, name, part)
-        if not shapes:
-            raise ValueError("even or odd must be given")
-        if len(shapes) > 1:
-            raise ValueError("even and odd must have one shape")
+    def _set(self, d, grid, tables, rule):
+        self.d = d
+        self.lambda_grid, self.weights, self.nodes, self._inv = grid
+        self._tables = tables               # (even, odd), or None on a rule
+        self._rule = rule                   # a _PanelRule, or None
+
+    @classmethod
+    def _on(cls, d, grid, tables=None, rule=None):
+        """Coefficients on a grid that _signed_grid has checked, from
+        tables that _tables has checked or from a panel rule."""
+        c = cls.__new__(cls)
+        c._set(d, grid, tables, rule)
+        return c
 
     @property
     def ell_max(self) -> int:
-        return (self.odd if self.even is None else self.even).shape[0] - 1
+        if self._rule is not None:
+            return self._rule.values.shape[1] - 1
+        return next(p for p in self._tables if p is not None).shape[0] - 1
+
+    def rows(self, a: int, b: int):
+        """c's even and odd parts on nodes[a:b], each of shape
+        (ell_max + 1, b - a), or None where the part is identically zero:
+        slices of c's tables, or new arrays interpolated onto those nodes
+        alone, bit for bit the columns of the whole interpolated part."""
+        if self._rule is None:
+            return tuple(None if p is None else p[:, a:b]
+                         for p in self._tables)
+        return self._rule.at(self.nodes[a:b])
+
+    @property
+    def even(self):
+        return self.rows(0, self.nodes.size)[0]
+
+    @property
+    def odd(self):
+        return self.rows(0, self.nodes.size)[1]
 
     def _signed_rows(self):
         """The rows of c on the signed grid, one ell at a time."""
+        even, odd = self.rows(0, self.nodes.size)
         sign = np.sign(self.lambda_grid)
         for ell in range(self.ell_max + 1):
             row = np.zeros(self.lambda_grid.size, dtype=complex)
-            if self.even is not None:
-                row += self.even[ell, self._inv]
-            if self.odd is not None:
-                row += self.odd[ell, self._inv] * sign
+            if even is not None:
+                row += even[ell, self._inv]
+            if odd is not None:
+                row += odd[ell, self._inv] * sign
             yield row
 
     @property
@@ -169,6 +173,49 @@ class SpectralCoefficients:
         """c(ell, lam) on the signed grid: a new complex table of shape
         (ell_max + 1, lambda_grid.size)."""
         return np.array(list(self._signed_rows()))
+
+
+def _signed_grid(lambda_grid, weights):
+    """(lambda_grid, weights, nodes, inverse) as float arrays, checked:
+    the distinct |lam| ascending, and each lam's index among them."""
+    lam = np.asarray(lambda_grid, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if lam.ndim != 1:
+        raise ValueError("lambda_grid must be one dimensional")
+    if np.any(lam == 0.0):
+        raise ValueError("lambda_grid must not contain 0")
+    if np.any(np.diff(lam) <= 0.0):
+        raise ValueError("lambda_grid must be strictly increasing")
+    if weights.shape != lam.shape:
+        raise ValueError("weights must match lambda_grid")
+    if np.any(weights <= 0.0):
+        raise ValueError("weights must be positive")
+    nodes, inv = np.unique(np.abs(lam), return_inverse=True)
+    return lam, weights, nodes, inv
+
+
+def _tables(even, odd, n_nodes):
+    """The parts as checked tables in C order, whatever the caller passed,
+    so that the sums over |lam| in synthesize see one memory layout; real
+    where the imaginary component is zero, and None where given as None."""
+    tables = []
+    for name, part in (("even", even), ("odd", odd)):
+        if part is not None:
+            part = np.asarray(part)
+            if np.iscomplexobj(part) and not np.any(part.imag):
+                part = part.real
+            part = np.ascontiguousarray(
+                part, dtype=complex if np.iscomplexobj(part) else float)
+            if part.ndim != 2 or part.shape[1] != n_nodes:
+                raise ValueError("%s must have shape (ell_max + 1, number "
+                                 "of distinct |lam|)" % name)
+        tables.append(part)
+    shapes = {p.shape for p in tables if p is not None}
+    if not shapes:
+        raise ValueError("even or odd must be given")
+    if len(shapes) > 1:
+        raise ValueError("even and odd must have one shape")
+    return tuple(tables)
 
 
 def multiplicity(ell: int, d: int) -> int:
@@ -250,24 +297,26 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     the supports, however fast the flows later make c oscillate.  A grid
     of many distinct |lam| therefore takes the parts on a Gauss-Legendre
     panel rule in |lam| (24 nodes per panel, panels 1 / max(support_rho,
-    support_s) wide, covering [0, max |lam|]) and interpolates them by
-    barycentric Lagrange per panel.  Each panel's interpolant is probed
+    support_s) wide, covering [0, max |lam|]), and c keeps them there:
+    each read of its rows interpolates them by barycentric Lagrange per
+    panel onto the |lam| it asks for.  Each panel's interpolant is probed
     against a direct evaluation at its top edge; while some ell's probe
     exceeds 1e-13 of that ell's largest part value plus the part's
     round-off floor, (ell + 1) eps C(ell + d - 1, ell) times the sum of
     |weights * part table|, the width is halved.
     The rule is used only while it, with its probes, takes fewer
     evaluations than the grid has distinct |lam|; otherwise every |lam|
-    is evaluated directly.
+    is evaluated directly and c holds the tables.
     """
     d = f.d
     if lambda_grid is None:
         lambda_grid, lambda_weights = default_lambda_grid()
     if lambda_weights is None:
         raise ValueError("custom lambda_grid needs explicit weights")
-    lam = np.asarray(lambda_grid, dtype=float)
+    grid = _signed_grid(lambda_grid, lambda_weights)
+    nodes = grid[2]
     if n_s is None:
-        n_s = _default_n_s(f.support_s, float(np.max(np.abs(lam))))
+        n_s = _default_n_s(f.support_s, float(nodes[-1]))
     rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
     s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
     table = f.table(rho, s)
@@ -277,16 +326,17 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     half = n_s // 2
     sh, wh = s[half:], 2.0 * ws[half:]
     wh[0] /= 1 + n_s % 2
-    # (trig, odd part?, into its imaginary component?, half table
-    # (n_half, n_rho)): exp(-i s lam) = cos - i sign(lam) sin, so a sine
-    # transform lands in the other component, negated from the real table
-    parts = []
+    # (trig, half table (n_half, n_rho)) of each part, and its place in c,
+    # (odd part?, imaginary component?): exp(-i s lam) = cos - i sign(lam)
+    # sin, so a sine transform lands in the other component, negated from
+    # the real table
+    parts, places = [], []
     for imag, x in ((False, table.real), (True, np.imag(table))):
         xh, xm = x[:, half:].T, x[:, (n_s - 1) // 2::-1].T
         for trig, odd, mirror in ((np.cos, False, xm), (np.sin, True, -xm)):
             if not np.array_equal(xh, -mirror):     # else the part is 0
-                parts.append((trig, odd, imag != odd,
-                              np.ascontiguousarray(0.5 * (xh + mirror))))
+                parts.append((trig, np.ascontiguousarray(0.5 * (xh + mirror))))
+                places.append((odd, imag != odd))
     alpha = d - 1.0
     rad_w = wr * rho ** (d - 1)
     chunk = max(1, _FWD_CHUNK // max(1, n_rho))
@@ -306,7 +356,7 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
             trig = {fn: fn(np.outer(lc, sh)) * wh
                     for fn in {p[0] for p in parts}}
             wa = np.empty((len(parts), hi - lo, n_rho))
-            for p, (fn, _, _, tab) in enumerate(parts):
+            for p, (fn, tab) in enumerate(parts):
                 # einsum sums over s in one fixed order; a BLAS matrix
                 # product can round an edge column differently with the
                 # BLAS thread count
@@ -320,38 +370,42 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
                     wa.sum(axis=-1, out=out[:, 0, lo:hi])
         return out
 
-    # the inverse is dropped, but without it np.unique first imports
-    # numpy.ma, about 30 ms of a process's first transform
-    nodes = np.unique(np.abs(lam), return_inverse=True)[0]
     # each part's round-off floor at degree ell: (ell + 1) eps times the
     # sum of its terms' bounds, exp(-x / 2) |L_ell^(d-1)(x)| being at most
     # C(ell + d - 1, ell)
-    bounds = np.array([np.einsum("s,sr,r->", wh, np.abs(p[3]), rad_w)
-                       for p in parts])
+    bounds = np.array([np.einsum("s,sr,r->", wh, np.abs(tab), rad_w)
+                       for _, tab in parts])
     floor = np.outer(bounds, [(ell + 1) * multiplicity(ell, d)
                               for ell in range(ell_max + 1)])
     floor *= np.finfo(float).eps
-    out = _on_panels(transforms, nodes,
-                     _PANEL_WIDTH / max(f.support_rho, f.support_s), floor)
-    if out is None:
-        out = transforms(nodes)
     base = math.pi ** d / math.factorial(d - 1)
-    out *= np.array([base / multiplicity(ell, d)
-                     for ell in range(ell_max + 1)])[:, None]
-    # each of c's even and odd parts: real when only its real component
-    # is nonzero, None when neither is
+    scale = np.array([base / multiplicity(ell, d)
+                      for ell in range(ell_max + 1)])[:, None]
+    # zero data has no part to put on a rule
+    rule = _on_panels(transforms, nodes, _PANEL_WIDTH / max(
+        f.support_rho, f.support_s), floor) if parts else None
+    if rule is not None:
+        return SpectralCoefficients._on(
+            d, grid, rule=_PanelRule(*rule, scale, tuple(places)))
+    even, odd = _assemble(transforms(nodes), scale, places)
+    if even is None and odd is None:
+        even = np.zeros((ell_max + 1, nodes.size))
+    return SpectralCoefficients._on(d, grid, tables=_tables(even, odd,
+                                                            nodes.size))
+
+
+def _assemble(out, scale, places):
+    """c's even and odd parts from the parts' transforms `out` (part, ell,
+    node): each scaled by its ell's `scale` in place, the imaginary sine
+    part negated, and joined by their `places` (odd?, imaginary?)."""
+    out *= scale
     comps = {}
-    for (_, odd, imag, _), part in zip(parts, out):
+    for (odd, imag), part in zip(places, out):
         if odd and imag:            # -i sign(lam) times the real table's sine
             np.negative(part, out=part)
         comps[odd, imag] = part
-    even = _join(comps.get((False, False)), comps.get((False, True)))
-    odd = _join(comps.get((True, False)), comps.get((True, True)))
-    if even is None and odd is None:
-        even = np.zeros((ell_max + 1, nodes.size))
-    return SpectralCoefficients(d=d, lambda_grid=lam,
-                                weights=np.asarray(lambda_weights, float),
-                                even=even, odd=odd)
+    return (_join(comps.get((False, False)), comps.get((False, True))),
+            _join(comps.get((True, False)), comps.get((True, True))))
 
 
 def _join(re, im):
@@ -376,15 +430,18 @@ _PANEL_PROBE = 1e-13
 
 
 def _on_panels(fn, nodes, width, floor):
-    """fn(nodes) through a Gauss-Legendre panel rule in |lam|, or None.
+    """fn on a Gauss-Legendre panel rule in |lam| that serves `nodes`, or
+    None.
 
     fn maps ascending |lam| nodes to an array (part, ell, node), and
     floor (part, ell) bounds its round-off.  The rule covers
     [0, nodes[-1]] with panels at most `width` wide.  The width is halved
     until the interpolant at every panel's top edge is within _PANEL_PROBE
     of each ell's max |fn|, plus the floor, of a direct evaluation there.
-    None once the rule and its probes would take no fewer evaluations
-    than nodes.size.
+    Returns (values (part, ell, panel, node), edges, x, bary): fn on the
+    rule, the panels' edges, and the rule's nodes on [-1, 1] with their
+    barycentric weights, which _interpolate takes.  None once the rule
+    and its probes would take no fewer evaluations than nodes.size.
     """
     x, w = _leggauss(_PANEL_NODES)
     bary = (-1.0) ** np.arange(_PANEL_NODES) * np.sqrt((1.0 - x * x) * w)
@@ -401,20 +458,44 @@ def _on_panels(fn, nodes, width, floor):
                       - vals[:, :, rule.size:]).max(axis=2)
         if np.all(miss <= _PANEL_PROBE * np.abs(vals).max(axis=(0, 2))
                   + floor):
-            return _interpolate(panel, edges, x, bary, nodes)
+            return panel, edges, x, bary
         n_pan *= 2
     return None
 
 
+@dataclass(frozen=True)
+class _PanelRule:
+    """analyze's parts kept on its panel rule: what _on_panels returns,
+    unscaled, with each ell's scale and each part's place in c, which
+    _assemble applies after every interpolation."""
+
+    values: np.ndarray
+    edges: np.ndarray
+    x: np.ndarray
+    bary: np.ndarray
+    scale: np.ndarray
+    places: tuple
+
+    def at(self, nodes):
+        """c's even and odd parts at ascending |lam| nodes."""
+        return _assemble(_interpolate(self.values, self.edges, self.x,
+                                      self.bary, nodes),
+                         self.scale, self.places)
+
+
 def _interpolate(panel, edges, x, bary, nodes):
     """Barycentric Lagrange interpolation of panel values (part, ell,
-    panel, node) on the panels between `edges`, at ascending `nodes`."""
+    panel, node) on the panels between `edges`, at ascending `nodes` in
+    [0, edges[-1]].  Each node's value is a fixed-order sum over its
+    panel's nodes, so it has the same bits whichever other nodes are
+    asked for with it."""
     out = np.empty(panel.shape[:2] + (nodes.size,))
     bounds = np.searchsorted(nodes, edges)
     bounds[-1] = nodes.size
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        lo, hi = bounds[k], bounds[k + 1]
         diff = (nodes[lo:hi, None] - mids[k]) / half - x
         with np.errstate(divide="ignore"):
             q = bary / diff
@@ -447,11 +528,13 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     against one Laguerre sweep.
 
     The points go in blocks of up to _INV_POINTS and the |lam| in chunks
-    of _INV_CHUNK elements per block.  Within a chunk each ell's rows
-    and phase are formed on the chunk alone and used at once by every
-    point of the block, so no (ell, |lam|) table is built; what stays is
-    each block's accumulator, one (points, |lam|) table per real
-    component.  A component is allocated at its first nonzero chunk, so
+    of _INV_CHUNK elements per block.  Each chunk reads c's rows there
+    once, through `c.rows`, which on analyze's panel rule interpolates
+    them onto the chunk's |lam| alone (once per block, so a call of many
+    blocks repeats that work).  Within a chunk each ell's rows and phase
+    are formed on the chunk alone and used at once by every point of the
+    block, so no (ell, |lam|) table is built; what stays is each block's
+    accumulator, one (points, |lam|) table per real component.  A component is allocated at its first nonzero chunk, so
     one that is identically zero (the imaginary ones at t = 0, O for the
     bump on a mirrored grid) costs neither memory nor sweep time.  Each
     point's sum over |lam| against exp(-|lam| rho) cos(s |lam|) (E) and
@@ -502,9 +585,10 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
             phase = np.exp(1j * d * beta[a:b])
             step = np.exp(2j * beta[a:b])
             wp, wm = w_plus[a:b], w_minus[a:b]
+            e_rows, o_rows = c.rows(a, b)
             for ell, lk in enumerate(laguerre_sweep(c.ell_max, d - 1.0, x)):
-                e_row = None if c.even is None else c.even[ell, a:b]
-                o_row = None if c.odd is None else c.odd[ell, a:b]
+                e_row = None if e_rows is None else e_rows[ell]
+                o_row = None if o_rows is None else o_rows[ell]
                 if o_row is None:
                     plus = minus = e_row
                 elif e_row is None:
@@ -537,6 +621,9 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
                             dest += term
                         else:                               # L_0 = 1
                             dest[...] = comp
+            # the chunk's rows, interpolated on the panel rule, go before
+            # the next chunk's are read
+            del e_rows, o_rows, e_row, o_row
         keys = sorted(acc)
         sums = np.empty((len(keys), hi - lo))
         # the closing sums, over _INV_CHUNK elements (or one point) at a time
@@ -628,10 +715,11 @@ def evolve_schrodinger(c: SpectralCoefficients, t: float) -> SpectralCoefficient
     ells = np.arange(c.ell_max + 1)[:, None]
     phase = 4j * t * c.nodes[None, :] * (2 * ells + c.d)
     np.exp(phase, out=phase)
+    even, odd = c.rows(0, c.nodes.size)
     # each part first: complex multiplication does not commute bitwise;
     # the odd part reads the phase before the even part overwrites it
-    odd = None if c.odd is None else c.odd * phase
-    even = None if c.even is None else np.multiply(c.even, phase, out=phase)
+    odd = None if odd is None else odd * phase
+    even = None if even is None else np.multiply(even, phase, out=phase)
     return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid.copy(),
                                 weights=c.weights.copy(), even=even, odd=odd)
 

@@ -9,9 +9,11 @@ import io
 import numpy as np
 import pytest
 
+from hlab import experiments
 from hlab.experiments import (CATALOG, ConfigError, ExperimentConfig,
                               ExperimentReport, _trapezoid, _window_ratio,
                               admissible_q, run)
+from hlab.fourier import SpectralCoefficients
 from hlab.kernels import dispersive_onset_time
 
 CHEAP = ("heat-equiv", "mehler", "concentrate", "restricted-sweep", "mkappa")
@@ -220,3 +222,25 @@ def test_reports_reproducible_and_seeded():
     assert lines[4] == "# t=1.7"
     assert lines[5] == "check,ell,sign,rho,s_or_sstar,value,tol,pass"
     assert len(lines) == 6 + 40
+
+
+def test_kernel_consistency_bytes_do_not_depend_on_the_panel_rule(monkeypatch):
+    # the report's coefficients stay on analyze's panel rule, and
+    # synthesize interpolates them chunk by chunk; the same coefficients
+    # read whole into tables must give the same CSV bytes
+    cfg = ExperimentConfig(experiment="kernel-consistency", fast=True)
+    on_rule = _csv_text(cfg)
+    analyze = experiments.analyze
+    tables = []
+
+    def as_tables(*args, **kw):
+        c = analyze(*args, **kw)
+        assert c._rule is not None
+        tables.append(SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid,
+                                           weights=c.weights, even=c.even,
+                                           odd=c.odd))
+        return tables[-1]
+
+    monkeypatch.setattr(experiments, "analyze", as_tables)
+    assert _csv_text(cfg) == on_rule
+    assert len(tables) == 1 and tables[0]._rule is None

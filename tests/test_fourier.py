@@ -193,6 +193,12 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _panel_count(c):
+    """Panels of the rule c keeps its parts on, or None when c holds its
+    tables."""
+    return None if c._rule is None else c._rule.edges.size - 1
+
+
 def _within_per_ell(got, want, bound):
     """Every |got - want| within `bound` of its ell's max |want|."""
     scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -209,10 +215,9 @@ def test_analyze_on_panels_matches_plain_loop(case, ell_max, monkeypatch):
     # extended-precision sum); the probe allows for that floor, so every
     # case keeps the rule.
     f, grid, w = _profile_case(case, 601)
-    panels = _spy(monkeypatch, "_interpolate")
     c = analyze(f, ell_max=ell_max, lambda_grid=grid, lambda_weights=w,
                 n_rho=16, n_s=24)
-    assert len(panels) == 1
+    assert 8 <= _panel_count(c) <= 15
     cols = np.r_[np.arange(0, grid.size, 13), grid.size - 1]
     want, floor = _analyze_reference(f, ell_max, grid[cols], 16, 24)
     scale = np.max(np.abs(want), axis=1, keepdims=True)
@@ -227,29 +232,39 @@ def test_panel_probe_halves_a_rule_too_wide(monkeypatch):
     kw = dict(ell_max=48, lambda_grid=grid, lambda_weights=w, n_rho=64,
               n_s=65)
     monkeypatch.setattr(fourier, "_PANEL_WIDTH", 2.0 * fourier._PANEL_WIDTH)
-    panels = _spy(monkeypatch, "_interpolate")
     c = analyze(f, **kw)
-    assert [edges.size - 1 for _, edges, *_ in panels] == [40]
+    assert _panel_count(c) == 40
     monkeypatch.setattr(fourier, "_PANEL_PROBE", math.inf)
     unprobed = analyze(f, **kw)
-    assert [edges.size - 1 for _, edges, *_ in panels[1:]] == [20]
+    assert _panel_count(unprobed) == 20
     monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
     direct = analyze(f, **kw)
+    assert _panel_count(direct) is None
     assert _within_per_ell(c.values, direct.values, 1e-13)
     assert not _within_per_ell(unprobed.values, direct.values, 1e-13)
 
 
 def test_panel_rule_at_its_own_nodes(monkeypatch):
-    # a grid that holds the rule's own nodes: the barycentric terms divide
-    # by zero there, and the interpolant must return the node's value
+    # a grid that holds the rule's own nodes: where a node's offset in its
+    # panel rounds to the rule's own x (100 of the 960 here), the
+    # barycentric terms divide by zero, and the interpolant must return
+    # the rule's value there, scaled, whichever nodes a read asks for
+    # with it
     f = bump_profile(1.0)
     rule, _ = gauss_panels(0.0, 40.0, 40, 24)
     grid = np.unique(np.r_[rule, np.linspace(0.01, 40.0, 3000)])
     kw = dict(ell_max=8, lambda_grid=grid, lambda_weights=np.ones(grid.size),
               n_rho=32, n_s=33)
-    panels = _spy(monkeypatch, "_interpolate")
     c = analyze(f, **kw)
-    assert len(panels) == 1
+    assert _panel_count(c) == 40
+    at = np.searchsorted(c.nodes, rule)
+    assert np.array_equal(c.nodes[at], rule)
+    on_rule = c._rule.values[0].reshape(9, -1) * c._rule.scale
+    whole = c.even
+    assert np.count_nonzero(np.all(whole[:, at] == on_rule, axis=0)) >= 100
+    assert _within_per_ell(whole[:, at], on_rule, 1e-15)
+    for width in (1, 97, 3276):
+        assert np.array_equal(_read_in_chunks(c, width)[0], whole)
     monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
     assert _within_per_ell(c.values, analyze(f, **kw).values, 1e-13)
 
@@ -260,17 +275,96 @@ def test_small_grids_take_the_direct_route(monkeypatch):
     # nor do the 400 of the default grid, which come out bit for bit as on
     # the direct route
     f = bump_profile(1.0)
-    panels = _spy(monkeypatch, "_interpolate")
+    taken = []
     for n in (1251, 1249):
         grid, w = single_sign_lambda_grid(1e-3, 50.0, n)
-        analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w, n_rho=32,
-                n_s=33)
+        taken.append(_panel_count(analyze(
+            f, ell_max=8, lambda_grid=grid, lambda_weights=w, n_rho=32,
+            n_s=33)))
     grid, w = default_lambda_grid()
     c = analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w)
-    assert [nodes.size for *_, nodes in panels] == [1251]
+    assert taken == [50, None] and _panel_count(c) is None
     monkeypatch.setattr(fourier, "_on_panels", lambda *args: None)
     direct = analyze(f, ell_max=8, lambda_grid=grid, lambda_weights=w)
     assert c.values.tobytes() == direct.values.tobytes()
+
+
+def _read_in_chunks(c, width):
+    """c's even and odd parts read through `rows`, `width` nodes at a
+    time, as synthesize reads them."""
+    chunks = [c.rows(a, min(a + width, c.nodes.size))
+              for a in range(0, c.nodes.size, width)]
+    return tuple(None if chunks[0][i] is None
+                 else np.concatenate([rows[i] for rows in chunks], axis=1)
+                 for i in (0, 1))
+
+
+def _panel_case(case):
+    """Coefficients on the panel rule at ell_max 12 over 5001 |lam| per
+    sign up to 40: the bump (a real even part alone), or a complex profile
+    shifted in s (complex even and odd parts)."""
+    bump = bump_profile(1.0)
+    f = bump if case == "bump" else RadialFunction(
+        profile=lambda rho, s: (1.0 + 0.5j) * bump.profile(rho, s - 0.4),
+        support_rho=1.0, support_s=1.4)
+    gp, wp = single_sign_lambda_grid(5e-4, 40.0, 5001, 1)
+    c = analyze(f, ell_max=12, lambda_grid=np.concatenate([-gp[::-1], gp]),
+                lambda_weights=np.concatenate([wp[::-1], wp]), n_rho=32,
+                n_s=48)
+    assert _panel_count(c) is not None
+    return c
+
+
+@pytest.mark.parametrize("case", ["bump", "complex"])
+def test_rows_read_in_chunks_match_the_whole_part(case):
+    # chunks of 1, 97 and 3276 nodes; the 97-node chunks end inside the
+    # rule's panels as well as at their edges
+    c = _panel_case(case)
+    whole = c.rows(0, c.nodes.size)
+    if case == "bump":
+        assert whole[0].dtype == float and whole[1] is None
+    else:
+        assert whole[0].dtype == whole[1].dtype == complex
+    panel = np.searchsorted(c._rule.edges, c.nodes)
+    ends = np.arange(97, c.nodes.size, 97)
+    assert np.any(panel[ends - 1] == panel[ends])
+    for width in (1, 97, 3276):
+        for got, want in zip(_read_in_chunks(c, width), whole):
+            assert got is None if want is None else np.array_equal(got, want)
+
+
+def _as_tables(c):
+    """c with its parts read whole into tables."""
+    return SpectralCoefficients(d=c.d, lambda_grid=c.lambda_grid,
+                                weights=c.weights, even=c.even, odd=c.odd)
+
+
+@pytest.mark.parametrize("case", ["bump", "complex"])
+def test_panel_rule_reads_as_its_tables(case, monkeypatch):
+    # every reader gives the bits of the coefficients' tables: synthesize
+    # at 1, 10 and 37 points (one block of one chunk, one block of two,
+    # three blocks of two), evolve_schrodinger, spectral_norm_sq and values
+    c = _panel_case(case)
+    tables = _as_tables(c)
+    assert _panel_count(tables) is None
+    rng = np.random.default_rng(24)
+    for n in (1, 10, 37):
+        rho, s = rng.uniform(0.0, 3.0, n), rng.uniform(-4.0, 4.0, n)
+        for t in (0.0, 2.5):
+            assert (synthesize(c, rho, s, t).tobytes()
+                    == synthesize(tables, rho, s, t).tobytes())
+    # the 37 points take one interpolation per block and chunk
+    reads = _spy(monkeypatch, "_interpolate")
+    synthesize(c, rho, s, 2.5)
+    assert len(reads) == 6
+    assert c.values.tobytes() == tables.values.tobytes()
+    assert spectral_norm_sq(c) == spectral_norm_sq(tables)
+    for got, want in zip((c.even, c.odd, evolve_schrodinger(c, 2.5)),
+                         (tables.even, tables.odd,
+                          evolve_schrodinger(tables, 2.5))):
+        if isinstance(got, SpectralCoefficients):
+            got, want = got.values, want.values
+        assert got is None if want is None else got.tobytes() == want.tobytes()
 
 
 def test_real_data_has_hermitian_coefficients():
@@ -295,6 +389,13 @@ def test_analyze_of_zero_data_is_zero():
     c = analyze(f, ell_max=3, lambda_grid=np.array([-1.0, 2.0]),
                 lambda_weights=np.ones(2), n_rho=8, n_s=9)
     assert np.array_equal(c.values, np.zeros((4, 2)))
+    # a grid wide enough for the panel rule, which zero data, having no
+    # part to put on it, does not take
+    grid, w = single_sign_lambda_grid(1e-3, 50.0, 2001)
+    c = analyze(f, ell_max=3, lambda_grid=grid, lambda_weights=w, n_rho=8,
+                n_s=9)
+    assert _panel_count(c) is None
+    assert np.array_equal(c.values, np.zeros((4, 2001)))
 
 
 _THREADS_SCRIPT = """
@@ -581,13 +682,28 @@ def test_synthesize_streams_the_evolved_rows():
     assert peak < 49 * gp.size * 8
 
 
+def _arrays(obj):
+    """Every numpy array that obj holds, through attributes and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item)
+
+
 def test_transform_keeps_no_signed_table(monkeypatch):
     # kernel-consistency's route at its --fast ell_max on 8001 lam per
     # sign, with ten |lam| chunks per synthesis block as at its 32501
-    # nodes.  With T one real (ell_max + 1) x 8001 table, the bump's even
-    # part is T, and neither analyze's work nor synthesize's accumulators
-    # take another (1.77 T in all); a complex table on the signed grid
-    # would be 4 T alone, and evolved rows over the whole grid 2 T more
+    # nodes.  With T one real (ell_max + 1) x 8001 table: the coefficients
+    # keep the bump's part on the panel rule (0.13 T), not as a table over
+    # the nodes (T), and a synthesis block holds its accumulators (0.45 T)
+    # and one chunk's interpolated rows (0.1 T); 0.99 T in all.  With
+    # the part as a table the route takes 1.77 T, a complex table on the
+    # signed grid would be 4 T alone, and evolved rows over the whole grid
+    # 2 T more
     f = bump_profile(1.0)
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 8001, 1)
     grid = np.concatenate([-gp[::-1], gp])
@@ -596,13 +712,17 @@ def test_transform_keeps_no_signed_table(monkeypatch):
     # numpy imports and caches what its first calls need
     synthesize(analyze(f, ell_max=2, n_rho=8, n_s=9), rho, s, 2.5)
     monkeypatch.setattr(fourier, "_INV_CHUNK", gp.size)
+    kept = []
 
     def transform():
         c = analyze(f, ell_max=48, lambda_grid=grid, lambda_weights=w,
                     n_rho=225, n_s=193)
         synthesize(c, rho, s, 2.5)
+        kept.append(c)
 
-    assert _peak_bytes(transform) <= 2 * 49 * gp.size * 8
+    assert _peak_bytes(transform) <= 1.1 * 49 * gp.size * 8
+    assert not [a.shape for a in _arrays(kept[0])
+                if a.ndim > 1 and a.shape[-1] == gp.size]
 
 
 def test_finite_difference_matches_symbol():
