@@ -206,16 +206,16 @@ def run_heat_equiv(cfg: ExperimentConfig) -> ExperimentReport:
                             s=float(s), tol=1e-13)
                 for rho in np.linspace(0.0, 4.0, n)
                 for s in np.linspace(-4.0, 4.0, n)]
-        for q, g in zip(grid, heat_kernel_gaveau(grid)):
-            gav = g.value
-            # The tail target sits two decades under the relative
-            # tolerance (the kernel falls to 4.65e-4 on the default
-            # grid, far lower at small t); the series raises
-            # BudgetExhausted where its round-off floor cannot meet it.
-            budget = TruncationBudget(
-                max_terms=100000,
-                tail_tolerance=min(5e-12, 1e-9 * abs(gav)))
-            ser = heat_kernel_series(q, budget=budget).value
+        gavs = [g.value for g in heat_kernel_gaveau(grid)]
+        # The tail target sits two decades under the relative tolerance
+        # (the kernel falls to 4.65e-4 on the default grid, far lower at
+        # small t); the series raises BudgetExhausted where its round-off
+        # floor cannot meet it.  The grid's series is one batch too.
+        budgets = [TruncationBudget(max_terms=100000,
+                                    tail_tolerance=min(5e-12, 1e-9 * abs(g)))
+                   for g in gavs]
+        sers = heat_kernel_series(grid, budget=budgets)
+        for q, gav, ser in zip(grid, gavs, (v.value for v in sers)):
             rel = abs(ser - gav) / max(abs(gav), 1e-300)
             rows.append((cfg.d, float(t), q.rho, q.s,
                          ser.real, ser.imag, gav.real, gav.imag,
@@ -236,29 +236,32 @@ def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
     tol = 1e-8
     rng = np.random.default_rng(cfg.seed)
     n_cases = 10 if cfg.fast else 20
-    rows = []
+    # the draws in the order of the rows, then one Hermite table per
+    # identity over every case's two points
+    mehler = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+               rng.uniform(-0.6, 0.6)) for _ in range(n_cases)]
+    heat = []
     for _ in range(n_cases):
-        x = rng.uniform(-3.0, 3.0)
-        xt = rng.uniform(-3.0, 3.0)
-        r = rng.uniform(-0.6, 0.6)
-        m_top = 200
-        hx = hermite_table(m_top, np.array([x, xt]))
+        lam = rng.uniform(0.5, 3.0)
+        heat.append((lam, rng.uniform(0.1, 0.6) / lam,
+                     rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+    rows = []
+    m_top = 200
+    hx = hermite_table(m_top, np.array([(x, xt) for x, xt, _ in mehler]))
+    for k, (x, xt, r) in enumerate(mehler):
         powers = r ** np.arange(m_top + 1)
-        total = float(np.sum(hx[:, 0] * hx[:, 1] * powers))
+        total = float(np.sum(hx[:, 2 * k] * hx[:, 2 * k + 1] * powers))
         closed = mehler_closed(x, xt, r)
         err = abs(total - closed)
         rows.append(("mehler", x, xt, r, total, closed, err, tol, err <= tol))
-    for _ in range(n_cases):
-        lam = rng.uniform(0.5, 3.0)
-        t = rng.uniform(0.1, 0.6) / lam
-        y = rng.uniform(-1.5, 1.5)
-        z = rng.uniform(-1.5, 1.5)
-        m_top = 160
-        h = lam ** 0.25 * hermite_table(
-            m_top, math.sqrt(lam) * np.array([z - y, z + y]))
+    m_top = 160
+    h = hermite_table(m_top, np.array(
+        [math.sqrt(lam) * np.array([z - y, z + y]) for lam, _, y, z in heat]))
+    for k, (lam, t, y, z) in enumerate(heat):
+        pair = lam ** 0.25 * h[:, 2 * k:2 * k + 2]
         decay = np.array([math.exp(-2.0 * m * t * lam)
                           for m in range(m_top + 1)])
-        total = float(np.sum(h[:, 0] * h[:, 1] * decay))
+        total = float(np.sum(pair[:, 0] * pair[:, 1] * decay))
         closed = mehler_heat_closed(lam, t, y, z)
         err = abs(total - closed)
         rows.append(("heat-line", lam, t, y, total, closed, err, tol,

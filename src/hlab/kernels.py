@@ -28,8 +28,8 @@ import numpy as np
 
 from . import backend
 from .quadrature import (MAX_PANELS, Integrand1D, QuadratureError, _leggauss,
-                         along_rows, gauss_panels, integrate_exponential_tail,
-                         tail_cutoff)
+                         _per_member, along_rows, gauss_panels,
+                         integrate_exponential_tail, tail_cutoff)
 from .special import (TruncationBudget, laguerre_table, sinh_ratio_log,
                       tau_over_tanh2)
 
@@ -227,28 +227,32 @@ def kernel_complex_time(q: KernelQuery | Sequence[KernelQuery]
 # ---------------------------------------------------------------------------
 # The kernel as a Laguerre-index series (the transform route)
 
-def series_term_closed(d: int, z: complex, rho: float, s: float,
-                       ell) -> np.ndarray:
+def series_term_closed(d: int, z: complex, rho, s, ell) -> np.ndarray:
     """Closed form of the lam > 0 half of one series term:
 
     J_ell = integral over lam > 0 of
             lam^(d) exp(-p lam) L_ell^(d-1)(b lam),
     p = 4 z (2 ell + d) + rho - i s,  b = 2 rho,  Re p >= 0,  p != 0.
 
-    Vectorized over ell.  The kernel series' term is J_ell + J_ell at -s.
-    ell may also be real: the formula is then a smooth interpolation of
-    the terms, which _series_estimate integrates for its tail.
-    SingularPoint where p = 0.
+    Vectorized over ell, and over (query, level) when rho and s are
+    columns (queries, 1) and ell a (queries, levels) grid; each element
+    gets the bits of its lone evaluation.  The kernel series' term is
+    J_ell + J_ell at -s.  ell may also be real: the formula is then a
+    smooth interpolation of the terms, which _series_estimate integrates
+    for its tail.  SingularPoint where p = 0.
     """
     ells = np.atleast_1d(np.asarray(ell, dtype=float))
     alpha = d - 1
     p = 4.0 * z * (2.0 * ells + d) + rho - 1j * s
+    ells = np.broadcast_to(ells, p.shape)
     if not p.all():
-        raise SingularPoint("rho = 0, |s| = %g is the quantized height "
-                            "4|t|(2 ell + d) at ell = %d, where the kernel is "
-                            "infinite" % (abs(s), ells[np.argmax(p == 0.0)]))
+        k = np.argmax(p == 0.0)
+        raise SingularPoint(
+            "rho = 0, |s| = %g is the quantized height 4|t|(2 ell + d) at "
+            "ell = %d, where the kernel is infinite"
+            % (abs(np.broadcast_to(s, p.shape).flat[k]), ells.flat[k]))
     pb = p - 2.0 * rho
-    coef = np.ones(ells.size)
+    coef = np.ones(p.shape)
     for j in range(1, alpha + 1):
         coef *= ells + j
     head = (alpha + 1.0) * p - (ells + alpha + 1.0) * (2.0 * rho)
@@ -326,10 +330,11 @@ def _series_estimate(head: np.ndarray, end: int, at: np.ndarray):
     return total + integral + (at[-1] - head[-1]) / 24.0
 
 
-def _series_kernel(d: int, z: complex, rho: float, s: float, ell0: int,
-                   budget: TruncationBudget) -> KernelValue:
-    """The kernel at time z, Re z >= 0, as 2^(d-1) / pi^(d+1) times the sum
-    over ell >= ell0 of J_ell + J_ell at -s (2 Re J_ell at real z).
+def _series_kernel(d: int, z: complex, rho, s, ell0: int,
+                   budgets: Sequence[TruncationBudget]) -> list:
+    """KernelValues of the queries (rho[i], s[i]) at one time z, Re z >= 0:
+    2^(d-1) / pi^(d+1) times the sum over ell >= ell0 of J_ell + J_ell
+    at -s (2 Re J_ell at real z), one budget per query.
 
     n terms are summed and the rest taken by _series_estimate's tail.  n
     doubles from 256 until ell0 + n passes rho / (4 |z|), so |b / p| < 2/3
@@ -337,63 +342,109 @@ def _series_kernel(d: int, z: complex, rho: float, s: float, ell0: int,
     keeps off its branch cut; then until err, the change from n/2 to n
     terms plus the round-off floor 1.1e-16 sum |J| _exponent_sizes, meets
     tol = budget.tail_tolerance.  BudgetExhausted once n would pass
-    budget.max_terms or the floor tol."""
-    tol, max_terms = budget.tail_tolerance, budget.max_terms
+    budget.max_terms or the floor tol.
+
+    The doubling runs in lockstep: the open queries that share n share
+    each call of series_term_closed, on a (queries, levels) grid, and
+    each query keeps the bits of its lone run.  The BudgetExhausted
+    raised is the lowest-indexed failing query's, the one a loop over the
+    queries would raise; a query on a quantized height raises
+    SingularPoint for the whole batch."""
+    rho = np.asarray(rho, dtype=float)
+    s = np.asarray(s, dtype=float)
     const = 2.0 ** (d - 1) / math.pi ** (d + 1)
-    reach = max(rho / (4.0 * abs(z)),
-                abs(s) / (8.0 * abs(z.imag)) if z.imag else 0.0)
-    n = 256
-    while ell0 + n <= reach:
-        n *= 2
-    n = min(n, max_terms)
 
-    signs = (s, -s) if z.imag else (s,)
-
-    def terms(ell, bounds=False):
-        """Kernel terms at the levels ell; with bounds also the sum of their
-        round-off bounds, |J| _exponent_sizes over the J of each term."""
-        js = [series_term_closed(d, z, rho, x, ell) for x in signs]
+    def terms(rows, ell, bounds=False):
+        """Kernel terms of the queries rows at the levels ell, one row of
+        terms per query; with bounds also each query's sum of round-off
+        bounds, |J| _exponent_sizes over the J of each term."""
+        r, col = rho[rows, None], s[rows, None]
+        grid = np.broadcast_to(ell, (len(rows), len(ell)))
+        signs = (col, -col) if z.imag else (col,)
+        js = [series_term_closed(d, z, r, x, grid) for x in signs]
         value = js[0] + js[1] if z.imag else 2.0 * np.real(js[0])
         if not bounds:
             return value
         return value, (1.0 if z.imag else 2.0) * sum(
-            float(np.sum(np.abs(j) * _exponent_sizes(d, z, rho, x, ell)))
+            np.sum(np.abs(j) * _exponent_sizes(d, z, r, x, grid), axis=1)
             for j, x in zip(js, signs))
 
-    head, bound = terms(ell0 + np.arange(n), bounds=True)
-    # the tail levels at n/2 and at n in one call of terms
-    ends = [ell0 + n // 2, ell0 + n] if n >= 2 else [ell0 + n]
-    at = terms(np.concatenate([_tail_levels(end) for end in ends]))
-    prev = (_series_estimate(head[:n // 2], ends[0], at[:25]) if n >= 2
-            else math.inf)
-    at = at[-25:]
-    while True:
-        est = _series_estimate(head, ell0 + n, at)
-        floor = const * 1.1e-16 * bound
-        err = const * abs(est - prev) + floor
-        if err <= tol:
-            return KernelValue(complex(const * est), err, float(n))
-        if floor > tol or 2 * n > max_terms:
-            what = ("round-off floor", floor) if floor > tol else (
-                "tail error", err)
-            raise BudgetExhausted(
-                "%s %.3e above tolerance %.3e after %d terms" % (
-                    what + (tol, n)), value=const * est, err=err, terms=n)
-        more, more_bound = terms(ell0 + np.arange(n, 2 * n), bounds=True)
-        head = np.concatenate([head, more])
-        bound += more_bound
-        prev = est
-        n *= 2
-        at = terms(_tail_levels(ell0 + n))
+    # one group of queries per head length n: (n, rows, head, bound, the
+    # terms at n's tail levels, the estimates at n/2)
+    by_n = {}
+    for q in range(len(rho)):
+        reach = max(rho[q] / (4.0 * abs(z)),
+                    abs(s[q]) / (8.0 * abs(z.imag)) if z.imag else 0.0)
+        n = 256
+        while ell0 + n <= reach:
+            n *= 2
+        by_n.setdefault(min(n, budgets[q].max_terms), []).append(q)
+    groups = []
+    for n, rows in sorted(by_n.items()):
+        head, bound = terms(rows, ell0 + np.arange(n), bounds=True)
+        # the tail levels at n/2 and at n in one call of terms
+        ends = [ell0 + n // 2, ell0 + n] if n >= 2 else [ell0 + n]
+        at = terms(rows, np.concatenate([_tail_levels(end) for end in ends]))
+        prev = [_series_estimate(head[i, :n // 2], ends[0], at[i, :25])
+                if n >= 2 else math.inf for i in range(len(rows))]
+        groups.append((n, rows, head, bound, at[:, -25:], prev))
+
+    out = [None] * len(rho)
+    failed = {}
+    while groups:
+        going = []
+        for n, rows, head, bound, at, prev in groups:
+            pending = []
+            for i, q in enumerate(rows):
+                tol = budgets[q].tail_tolerance
+                est = _series_estimate(head[i], ell0 + n, at[i])
+                floor = const * 1.1e-16 * float(bound[i])
+                err = const * abs(est - prev[i]) + floor
+                if err <= tol:
+                    out[q] = KernelValue(complex(const * est), err, float(n))
+                elif floor > tol or 2 * n > budgets[q].max_terms:
+                    what = ("round-off floor", floor) if floor > tol else (
+                        "tail error", err)
+                    failed[q] = BudgetExhausted(
+                        "%s %.3e above tolerance %.3e after %d terms" % (
+                            what + (tol, n)), value=const * est, err=err,
+                        terms=n)
+                else:
+                    pending.append((i, est))
+            # queries past the first failure are moot
+            pending = [(i, est) for i, est in pending
+                       if rows[i] < min(failed, default=len(rho))]
+            if pending:
+                keep, ests = (list(col) for col in zip(*pending))
+                rows = [rows[i] for i in keep]
+                more, more_bound = terms(rows, ell0 + np.arange(n, 2 * n),
+                                         bounds=True)
+                going.append((2 * n, rows,
+                              np.concatenate([head[keep], more], axis=1),
+                              bound[keep] + more_bound,
+                              terms(rows, _tail_levels(ell0 + 2 * n)), ests))
+        groups = going
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
-def heat_kernel_series(q: KernelQuery,
-                       budget: TruncationBudget | None = None) -> KernelValue:
-    """Heat kernel summed over Laguerre indices: _series_kernel at z = t."""
-    if q.t <= 0.0:
+def heat_kernel_series(q: KernelQuery | Sequence[KernelQuery],
+                       budget: TruncationBudget | Sequence | None = None
+                       ) -> KernelValue | list:
+    """Heat kernel summed over Laguerre indices: _series_kernel at z = t.
+
+    Takes one query or a sequence sharing d and t, as heat_kernel_gaveau
+    does; budget is one TruncationBudget (None: the default) for every
+    query, or one per query."""
+    qs = _queries(q)
+    t = qs[0].t
+    if t <= 0.0:
         raise ValueError("heat kernel needs t > 0")
-    return _series_kernel(q.d, q.t, q.rho, q.s, 0,
-                          budget or TruncationBudget())
+    budgets = [b or TruncationBudget() for b in _per_member(budget, len(qs))]
+    vals = _series_kernel(qs[0].d, t, [x.rho for x in qs], [x.s for x in qs],
+                          0, budgets)
+    return vals[0] if isinstance(q, KernelQuery) else vals
 
 
 def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
@@ -408,9 +459,9 @@ def restricted_kernel(ell: int, q: KernelQuery | Sequence[KernelQuery]
     t = qs[0].t
     if ell == 0 or t == 0.0:            # at t = 0 it raises ZeroTime
         return schrodinger_kernel(q)
-    vals = [_series_kernel(x.d, complex(0.0, -t), x.rho, x.s, ell,
-                           TruncationBudget(1 << 20, x.tol or _DEFAULT_TOL))
-            for x in qs]
+    vals = _series_kernel(
+        qs[0].d, complex(0.0, -t), [x.rho for x in qs], [x.s for x in qs],
+        ell, [TruncationBudget(1 << 20, x.tol or _DEFAULT_TOL) for x in qs])
     return vals[0] if isinstance(q, KernelQuery) else vals
 
 

@@ -141,30 +141,30 @@ def along_rows(values: np.ndarray, member: np.ndarray,
     return np.repeat(values[member], x.shape[-1]).reshape(x.shape)
 
 
-def _gk_panel(y: np.ndarray, h: float):
-    """(K15 value, error estimate) of a panel of half-width h from its 15
-    node values y."""
-    resk = _W15 @ y
-    resg = _W7_ON_15 @ y
-    value = resk * h
-    resabs = float(_W15 @ np.abs(y)) * abs(h)
-    mean = resk * 0.5
-    resasc = float(_W15 @ np.abs(y - mean)) * abs(h)
-    err = abs(resk - resg) * abs(h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return value, err
-
-
-def _gk_panels(fv: Callable, member, lo, hi) -> list:
-    """(value, err) of each panel [lo[i], hi[i]] of member[i], from one
-    call fv(x, member) on their K15 nodes, one row per panel."""
-    h = [0.5 * (b - a) for a, b in zip(lo, hi)]
-    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    x = np.array(mid)[:, None] + np.array(h)[:, None] * _X15
+def _gk_panels(fv: Callable, member, lo, hi):
+    """(values, errs, floors) of the panels [lo[i], hi[i]] of member[i],
+    from one call fv(x, member) on their K15 nodes, one row per panel:
+    QUADPACK's K15 value and error estimate, and the round-off floor
+    50 eps resabs under that estimate.  Each sum over the 15 nodes is a
+    fixed-order einsum (no BLAS), so a row's bits do not depend on the
+    other rows or on the BLAS thread count."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _X15
     y = np.ascontiguousarray(fv(x, np.asarray(member)), dtype=complex)
-    return [_gk_panel(y[i], h[i]) for i in range(len(h))]
+    resk = np.einsum("ij,j->i", y, _W15)
+    resg = np.einsum("ij,j->i", y, _W7_ON_15)
+    scale = np.abs(h)
+    resabs = np.einsum("ij,j->i", np.abs(y), _W15) * scale
+    resasc = np.einsum("ij,j->i", np.abs(y - (resk * 0.5)[:, None]),
+                       _W15) * scale
+    err = np.abs(resk - resg) * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    floor = 50.0 * _EPS * resabs
+    return resk * h, np.maximum(err, floor), floor
 
 
 def _initial_edges(a: float, b: float, width, breakpoints,
@@ -207,13 +207,16 @@ def integrate_adaptive(f: Callable, a, b, tol,
     Each integral keeps its own panels, running total and error, and
     splits its largest-error panel until its error meets
     max(tol, 1e-15 |value|).  A round splits one panel of every integral
-    still short of that, with one call of f on the 15 nodes of each half;
-    the panel sums stay per panel, so every member of a batch gets the
-    bits of its lone run.  Raises QuadratureNonConvergence, carrying the
+    still short of that, with one call of f on the 15 nodes of each half
+    and one vectorized estimate of every new panel (_gk_panels); the
+    panel sums stay per panel, so every member of a batch gets the bits
+    of its lone run.  Raises QuadratureNonConvergence, carrying the
     partial value and error and, as .member, the integral's index, when
-    its panel budget runs out first.  The other members of a batch run
-    on; the error raised is the lowest-indexed member's, the one a loop
-    over the members would raise.
+    its panel budget runs out first, or at once when the sum of its
+    panels' round-off floors, finite, alone exceeds that tolerance, which
+    no split can then meet.  The other members of a batch run on; the
+    error raised is the lowest-indexed member's, the one a loop over the
+    members would raise.
     """
     lone = members is None
     n = 1 if lone else int(members)
@@ -235,6 +238,7 @@ def integrate_adaptive(f: Callable, a, b, tol,
     counter = itertools.count()
     totals = [0.0 + 0.0j] * n
     errs = [0.0] * n
+    floors = [0.0] * n
     failed = {}
     first = []
     for m in range(n):
@@ -247,40 +251,52 @@ def integrate_adaptive(f: Callable, a, b, tol,
             break               # members past the first failure are moot
         first.extend((m, lo, hi) for lo, hi in itertools.pairwise(edges))
     if first:
-        for (m, lo, hi), (v, e) in zip(first, _gk_panels(fv, *zip(*first))):
+        panels = zip(*(col.tolist() for col in _gk_panels(fv, *zip(*first))))
+        for (m, lo, hi), (v, e, r) in zip(first, panels):
             totals[m] += v
             errs[m] += e
-            heapq.heappush(heaps[m], (-e, next(counter), lo, hi, v, e))
+            floors[m] += r
+            heapq.heappush(heaps[m], (-e, next(counter), lo, hi, v, e, r))
 
     active = range(min(failed, default=n))
     while True:
         split = []
         for m in active:
-            if errs[m] <= max(tol[m], 1e-15 * abs(totals[m])):
+            target = max(tol[m], 1e-15 * abs(totals[m]))
+            if errs[m] <= target:
+                continue
+            if target < floors[m] < math.inf:
+                failed[m] = ("round-off floor %.3e above tolerance %.3e"
+                             % (floors[m], target))
                 continue
             if len(heaps[m]) >= max_panels:
                 failed[m] = ("panel budget %d exhausted (err %.3e, tol %.3e)"
                              % (max_panels, errs[m], tol[m]))
                 continue
-            _, _, lo, hi, v, e = heapq.heappop(heaps[m])
+            _, _, lo, hi, v, e, r = heapq.heappop(heaps[m])
             if (hi - lo) < 1e-15 * (b[m] - a[m]):
                 failed[m] = "panel width underflow near %.17g" % lo
                 continue
-            split.append((m, lo, 0.5 * (lo + hi), hi, v, e))
+            split.append((m, lo, 0.5 * (lo + hi), hi, v, e, r))
         if failed:              # members past the first failure are moot
             split = [p for p in split if p[0] < min(failed)]
         if not split:
             break
         # the halves [lo, mid] and [mid, hi] of each split panel, in order
-        halves = _gk_panels(fv, [p[0] for p in split for _ in (0, 1)],
-                            [x for p in split for x in p[1:3]],
-                            [x for p in split for x in p[2:4]])
-        for k, (m, lo, mid, hi, v, e) in enumerate(split):
-            (v1, e1), (v2, e2) = halves[2 * k], halves[2 * k + 1]
+        vs, es, rs = (col.tolist() for col in _gk_panels(
+            fv, [p[0] for p in split for _ in (0, 1)],
+            [x for p in split for x in p[1:3]],
+            [x for p in split for x in p[2:4]]))
+        for k, (m, lo, mid, hi, v, e, r) in enumerate(split):
+            v1, v2 = vs[2 * k], vs[2 * k + 1]
+            e1, e2 = es[2 * k], es[2 * k + 1]
             totals[m] += v1 + v2 - v
             errs[m] += e1 + e2 - e
-            heapq.heappush(heaps[m], (-e1, next(counter), lo, mid, v1, e1))
-            heapq.heappush(heaps[m], (-e2, next(counter), mid, hi, v2, e2))
+            floors[m] += rs[2 * k] + rs[2 * k + 1] - r
+            heapq.heappush(heaps[m], (-e1, next(counter), lo, mid, v1, e1,
+                                      rs[2 * k]))
+            heapq.heappush(heaps[m], (-e2, next(counter), mid, hi, v2, e2,
+                                      rs[2 * k + 1]))
         active = [p[0] for p in split]
     if failed:
         m = min(failed)

@@ -1,6 +1,7 @@
 """Command line harness: parsing, exit codes, streams."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -279,6 +280,20 @@ def test_heat_equiv_below_the_round_off_floor_exit_three(capsys):
     assert out == ""
     assert err.startswith("hlab: numerical failure: round-off floor")
     assert err.count("\n") == 1
+
+
+def test_heat_equiv_under_the_quadrature_floor_exit_three(capsys):
+    # at t = 0.05 the target of Gaveau's tau integral lies under its
+    # panels' summed round-off floors, 50 eps resabs: the quadrature
+    # stops there and names the floor, instead of using up its 4000
+    # panels first
+    code = main(["heat-equiv", "--t", "0.05,0.5,1"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    got = re.fullmatch(r"hlab: numerical failure: round-off floor (\S+) "
+                       r"above tolerance (\S+)\n", err)
+    assert got and float(got[1]) > float(got[2])
 
 
 # The console script exists only once the package is installed; look in

@@ -381,6 +381,59 @@ def test_kernel_batches_keep_lone_bits():
             [restricted_kernel(ell, q) for q in restr])
 
 
+def test_series_batches_keep_lone_bits():
+    # the series of a batch runs in lockstep on (query, level) grids; each
+    # member must carry its lone call's value, error and term count
+    heat = [KernelQuery(t_or_z=0.25, rho=r, s=s)
+            for r, s in ((0.0, 0.0), (300.0, 1.0), (1.0, -2.0), (3.0, 4.0))]
+    budgets = [TruncationBudget(100000, tol)
+               for tol in (1e-12, 1e-12, 1e-14, 1e-13)]
+    got = heat_kernel_series(heat, budgets)
+    assert isinstance(got, list) and len(got) == len(heat)
+    # rho / (4 t) = 300 > 256 puts that query's head at 512 terms or more
+    assert got[1].truncation_point >= 512 > got[0].truncation_point
+    assert _triples(got) == _triples(
+        [heat_kernel_series(q, b) for q, b in zip(heat, budgets)])
+    assert _triples([heat_kernel_series(heat[2])]) == _triples(
+        heat_kernel_series([heat[2]]))
+    assert _triples(heat_kernel_series(heat[1:], TruncationBudget())) == (
+        _triples([heat_kernel_series(q) for q in heat[1:]]))
+    # at z = -it both signs of s count, and |s| / (8 t) sets the head
+    for d in (1, 2):
+        restr = [KernelQuery(d=d, t_or_z=0.5, rho=r, s=s, tol=tol)
+                 for r, s, tol in ((2.0, 1100.0, 1e-9), (0.0, 3.0, 1e-10),
+                                   (1.5, -7.5, 1e-12), (2.0, 0.0, 1e-11))]
+        vals = restricted_kernel(1, restr)
+        assert vals[0].truncation_point >= 1024
+        assert _triples(vals) == _triples(
+            [restricted_kernel(1, q) for q in restr])
+
+
+def test_series_batch_raises_its_lowest_failing_query():
+    # the middle query runs out of terms, the last one hits its round-off
+    # floor; the batch raises the middle one's error, as a loop would
+    qs = [KernelQuery(t_or_z=0.5, rho=r, s=s)
+          for r, s in ((0.8, -0.6), (0.8, -0.6), (30.0, -10.0))]
+    budgets = [TruncationBudget(100000, 1e-12), TruncationBudget(32, 1e-15),
+               TruncationBudget(100000, 1e-18)]
+    lone = []
+    for q, b in zip(qs, budgets):
+        try:
+            lone.append(heat_kernel_series(q, b))
+        except BudgetExhausted as exc:
+            lone.append(exc)
+    assert isinstance(lone[0], kernels.KernelValue)
+    assert str(lone[1]).startswith("tail error")
+    assert str(lone[2]).startswith("round-off floor")
+    with pytest.raises(BudgetExhausted) as got:
+        heat_kernel_series(qs, budgets)
+    assert str(got.value) == str(lone[1])
+    assert (got.value.value, got.value.err, got.value.terms) == (
+        lone[1].value, lone[1].err, lone[1].terms)
+    with pytest.raises(ValueError):
+        heat_kernel_series(qs, budgets[:2])
+
+
 def test_kernel_batches_share_one_time():
     with pytest.raises(ValueError):
         heat_kernel_gaveau([KernelQuery(t_or_z=1.0),
@@ -484,7 +537,8 @@ print(hashlib.sha256(data.tobytes()).hexdigest())
 
 
 def test_kernel_batch_bits_do_not_depend_on_blas_threads():
-    # the per-panel sums are 15-element BLAS dot products
+    # the panel sums are fixed-order einsums over the 15 nodes, and the
+    # series sums elementwise products; neither may depend on the threads
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(kernels.__file__))]

@@ -2,6 +2,7 @@
 gauge-ball norms."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from scipy import integrate as sci_integrate
 
 from hlab import kernels
 from hlab.fourier import bump_profile
-from hlab.quadrature import (EnvelopeError, GridSpec, Integrand1D,
-                             QuadratureError, QuadratureNonConvergence,
+from hlab.quadrature import (_EPS, _W7_ON_15, _W15, _X15, EnvelopeError,
+                             GridSpec, Integrand1D, QuadratureError,
+                             QuadratureNonConvergence, _gk_panels,
                              gauss_panels, grid_nodes_weights,
                              integrate_adaptive, integrate_exponential_tail,
                              radial_ball_norms, radial_ball_rule)
@@ -59,7 +61,8 @@ def test_breakpoints_put_panel_edges_on_kinks():
 def test_panel_budget_exhaustion_raises_with_payload():
     with pytest.raises(QuadratureNonConvergence) as exc:
         integrate_adaptive(lambda x: np.abs(x - np.sqrt(2) / 2) ** 0.1,
-                           0.0, 1.0, 1e-15, max_panels=8)
+                           0.0, 1.0, 1e-12, max_panels=8)
+    assert str(exc.value).startswith("panel budget 8 exhausted")
     assert exc.value.value is not None
     assert exc.value.err > 0.0
 
@@ -115,10 +118,12 @@ def _members():
                     1e-12, None),
         "unitary": (unitary, -4.8, 4.8, 1e-10, 1.5),
         # out of panels after 99 splits
-        "budget": (lambda x: np.abs(x - edge) ** 0.1, 0.0, 1.0, 1e-15, None),
-        # panel width underflow at the jump after 69 splits
-        "jump": (lambda x: np.where(x < edge, 1.0, 0.0), 0.0, 1.0, 1e-15,
+        "budget": (lambda x: np.cos(400.0 * x), 0.0, 1.0, 1e-12, None),
+        # panel width underflow at the pole after 50 splits
+        "pole": (lambda x: 1.0 / np.abs(x - 0.123456789), 0.0, 1.0, 1e-8,
                  None),
+        # its round-off floor 50 eps resabs, 1.9e-14, is over its tol
+        "floor": (np.exp, 0.0, 1.0, 1e-15, None),
         # exact on any panel, but width 0.005 cuts it into 200 panels
         "first cut": (lambda x: x * x, 0.0, 1.0, 1e-13, 0.005),
     }
@@ -183,12 +188,12 @@ def test_lockstep_batch_members_keep_their_lone_bits():
 
 
 def test_lockstep_batch_raises_its_lowest_failing_member():
-    # two members fail; the later one (the jump) fails in an earlier
+    # two members fail; the later one (the pole) fails in an earlier
     # round, but the batch raises the lower-indexed one's error, as a loop
     # over the members would, with its lone payload
     members = _members()
     specs = [members[n] for n in ("capped", "complex", "budget",
-                                  "first panel", "jump")]
+                                  "first panel", "pole")]
     exc, rows = _batch(specs)
     assert isinstance(exc, QuadratureNonConvergence)
     assert exc.member == 2
@@ -198,8 +203,8 @@ def test_lockstep_batch_raises_its_lowest_failing_member():
     assert str(exc) == str(lone)
     assert _bits(exc.value, exc.err) == _bits(lone.value, lone.err)
     assert rows[2] == panels
-    jump, _ = _lone(specs[4])
-    assert "underflow" in str(jump) and "budget" in str(exc)
+    pole, _ = _lone(specs[4])
+    assert "underflow" in str(pole) and "budget" in str(exc)
     assert rows[4] < panels
 
 
@@ -219,6 +224,94 @@ def test_a_first_cut_over_the_budget_fails_before_any_panel():
     exc, _ = _batch([members["budget"], members["first cut"]])
     assert exc.member == 0
     assert str(exc) == str(_lone(members["budget"])[0])
+
+
+def test_a_member_over_its_round_off_floor_stops_at_once():
+    # 50 eps resabs of exp on [0, 1] is 1.9e-14, over the target
+    # max(1e-15, 1e-15 |value|) = 1.7e-15, and no split lowers it: the
+    # member stops after its first panel, not after its 100
+    members = _members()
+    lone, panels = _lone(members["floor"])
+    assert isinstance(lone, QuadratureNonConvergence)
+    assert panels == 1
+    floor, tol = (float(v) for v in re.fullmatch(
+        r"round-off floor (\S+) above tolerance (\S+)", str(lone)).groups())
+    assert floor > tol >= 1e-15 and lone.err > tol
+    # in a batch it stops as early; the member before it runs on, the
+    # one past it is moot after its first panels
+    specs = [members[n] for n in ("complex", "floor", "capped")]
+    exc, rows = _batch(specs)
+    assert exc.member == 1 and str(exc) == str(lone)
+    assert _bits(exc.value, exc.err) == _bits(lone.value, lone.err)
+    assert rows[:2] == [_lone(specs[0])[1], 1]
+    assert rows[2] < _lone(specs[2])[1]
+    # a node on a pole makes the floor infinite, which is no round-off:
+    # that member runs on to its width underflow
+    with np.errstate(divide="ignore"):
+        pole, _ = _lone((lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, 1e-8,
+                         None))
+    assert str(pole).startswith("panel width underflow")
+
+
+def _gk_panel_reference(y, h):
+    """(K15 value, error estimate) of one panel of half-width h from its
+    15 node values y: the scalar formula the engine used per panel
+    before _gk_panels summed every panel of a round at once."""
+    resk = _W15 @ y
+    resg = _W7_ON_15 @ y
+    value = resk * h
+    resabs = float(_W15 @ np.abs(y)) * abs(h)
+    mean = resk * 0.5
+    resasc = float(_W15 @ np.abs(y - mean)) * abs(h)
+    err = abs(resk - resg) * abs(h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * _EPS * resabs)
+    return value, err, resabs
+
+
+def test_vectorized_panel_estimate_matches_the_scalar_formula():
+    # The sums run in another order than the scalar formula's BLAS dot
+    # products, so each may move by a few eps: values agree within
+    # 2 eps resabs and floors within 8 eps relative (1.2 and 2.8 seen);
+    # errors within 4 eps relative on noisy rows (2.2 seen), and within 4
+    # floors on smooth rows (1.7 seen), where K15 - G7 cancels and the
+    # 1.5 power of the error formula carries that change.
+    rng = np.random.default_rng(11)
+    n = 400
+    scale = np.exp(rng.uniform(-30.0, 30.0, (n, 1)))
+    noisy = (rng.standard_normal((n, 15))
+             + 1j * rng.standard_normal((n, 15))) * scale
+    rates = rng.uniform(-3.0, 3.0, (n, 1)) + 1j * rng.uniform(-12.0, 12.0,
+                                                              (n, 1))
+    smooth = np.exp(rates * _X15) * scale
+    # a zero row (resasc = 0) and one where K15 and G7 agree exactly
+    # (err = 0): two mirror K15-only nodes with opposite values
+    special = np.zeros((2, 15), dtype=complex)
+    special[1, 0], special[1, 14] = 1.0, -1.0
+    y = np.concatenate([noisy, smooth, special])
+    lo = rng.uniform(-3.0, 3.0, y.shape[0])
+    hi = lo + 10.0 ** rng.uniform(-6.0, 1.0, y.shape[0])
+    values, errs, floors = _gk_panels(lambda x, member: y,
+                                      np.zeros(y.shape[0], dtype=int), lo, hi)
+    for i, row in enumerate(y):
+        value, err, resabs = _gk_panel_reference(row, 0.5 * (hi[i] - lo[i]))
+        assert floors[i] == pytest.approx(50.0 * _EPS * resabs,
+                                          rel=8.0 * _EPS, abs=0.0)
+        assert abs(values[i] - value) <= 2.0 * _EPS * resabs
+        if i < n:
+            assert abs(errs[i] - err) <= 4.0 * _EPS * err
+        else:
+            assert abs(errs[i] - err) <= 4.0 * floors[i]
+    assert values[-2] == 0.0 and errs[-2] == 0.0 and floors[-2] == 0.0
+    assert values[-1] == 0.0 and errs[-1] == floors[-1] > 0.0
+    assert errs[-1] == _gk_panel_reference(y[-1], 0.5 * (hi[-1] - lo[-1]))[1]
+    # a row alone has the bits it has among the others
+    for i in (0, 1, 7, n, y.shape[0] - 1):
+        alone = _gk_panels(lambda x, member: y[i:i + 1], [0], lo[i:i + 1],
+                           hi[i:i + 1])
+        assert _bits(values[i], errs[i], floors[i]) == _bits(
+            *(col[0] for col in alone))
 
 
 def test_lockstep_batch_of_tail_integrals_keeps_lone_bits():
