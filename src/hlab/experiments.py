@@ -107,6 +107,11 @@ class ExperimentConfig:
             raise ConfigError("%s%s uses %d time(s), got %s" % (
                 self.experiment, " --fast" if self.fast else "", cap,
                 ",".join("%g" % v for v in t)))
+        if self.experiment == "kernel-consistency":
+            ratio = self.times(_KC_TIMES)[0] / self.r0 / self.r0
+            if ratio > _KC_CAP:     # its evolve rows would miss the tolerance
+                raise ConfigError("kernel-consistency needs t/R0^2 <= %g, "
+                                  "got t/R0^2 = %g" % (_KC_CAP, ratio))
         if self.experiment not in ("dispersion", "strichartz-window") or not t:
             return
         if len(t) < 3 or any(b <= a for a, b in zip(t, t[1:])):
@@ -275,11 +280,20 @@ def run_mehler(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # kernel-consistency
 
+_KC_TIMES = (2.5,)
+# the largest t / R0^2 at which the evolve rows keep their margin: there
+# the worst rel_err over seeds 1-20, both sizes and kappa 0.5 and 1 is
+# 8.5e-3, and on the axis rho = 0 8.4e-3 (8.1e-3 at t / R0^2 = 2.5); at
+# 5 they reach 9.8e-3, and at 6 2.0e-2 near rho = 0, where the |lambda|
+# cutoff bounds the accuracy
+_KC_CAP = 4.0
+
+
 def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     """Two routes to u(t) plus the complex-time limit of the kernel."""
     d = cfg.d
     tol = 1e-2
-    t = cfg.times((2.5,))[0]
+    t = cfg.times(_KC_TIMES)[0]
     t_min = dispersive_onset_time(cfg.kappa, cfg.r0, d)
     if t <= t_min:
         raise ConfigError("need t > %g for kappa=%g, R0=%g"
@@ -288,7 +302,16 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     u0 = bump_profile(cfg.r0, d)
 
     ell_max = 48 if cfg.fast else 64
-    n_lam = 32501
+    # |lambda| on [5e-4, 40] / R0^2, as the bump of radius R0 is the unit
+    # bump dilated; 40 kept the worst sampled point at R0 = 1, t = 2.5
+    # under half the tolerance (the cutoff matters most near rho = 0,
+    # where exp(-|lambda| rho) stops damping the tail).  The flow's phase
+    # 4 t lambda (2 ell + d) turns at most 1.6 rad per step at the top
+    # line, on at least 32501 nodes (odd, for Simpson).
+    lam_min, lam_max = 5e-4 / cfg.r0 ** 2, 40.0 / cfg.r0 ** 2
+    n_lam = max(32501,
+                math.ceil(4.0 * t * lam_max * (2 * ell_max + d) / 1.6) + 1)
+    n_lam += 1 - n_lam % 2
 
     gauge = cfg.kappa * math.sqrt(t)
     cand = []
@@ -304,19 +327,12 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     order = np.argsort(-np.abs(conv_vals))
     picked = [i for i in order if abs(conv_vals[i]) >= 0.05 * scale][:10]
 
-    # The lambda cutoff matters most near rho = 0 where the weight
-    # exp(-|lambda| rho) stops suppressing the tail; 40 was the smallest
-    # cutoff that kept the worst sampled point under half the tolerance.
-    # The node count tracks the evolution phase 4 t lambda (2 ell + d),
-    # which needs a few points per radian at the top line.  Only the
-    # synthesis, which applies that phase, needs that many: the
-    # coefficients are smooth in lambda, and analyze takes them on its panel
-    # rule in |lambda| (960 nodes at R0 = 1) and interpolates.  They stay
-    # on the 32501 distinct |lambda|, one real table, since the bump is
-    # real and even in s; no table over the 65002 signed lambda is built.
-    # One synthesis call evolves and sums all picked points over them.
-    gp, wp = single_sign_lambda_grid(5e-4, 40.0, n_lam, 1)
-    gn, wn = single_sign_lambda_grid(5e-4, 40.0, n_lam, -1)
+    # Only the synthesis, which applies that phase, needs that many nodes:
+    # analyze keeps the smooth coefficients on its panel rule in |lambda|
+    # (960 nodes at R0 = 1), and synthesize interpolates them one chunk at
+    # a time.  One synthesis call evolves and sums all picked points.
+    gp, wp = single_sign_lambda_grid(lam_min, lam_max, n_lam, 1)
+    gn, wn = single_sign_lambda_grid(lam_min, lam_max, n_lam, -1)
     lam_grid = np.concatenate([gn, gp])
     lam_w = np.concatenate([wn, wp])
     coef = analyze(u0, ell_max=ell_max, lambda_grid=lam_grid,

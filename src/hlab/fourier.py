@@ -15,16 +15,16 @@ over the signed grid is built only on request (its `values`).  analyze
 takes the even and odd parts as real cosine and sine transforms at the
 distinct |lam|; on a grid of many |lam| it keeps them on a Gauss-Legendre
 panel rule in |lam|, and each read of c's rows interpolates them onto
-the |lam| it asks for.  synthesize reads the rows of c chunk by chunk,
-forms c+- = even +- odd there, folds them with the weights into an even
-and an odd row, applies the unitary flow's phase
+the |lam| it asks for.  synthesize runs one loop over fixed chunks of
+the distinct |lam|: it reads c's rows on a chunk once, forms
+c+- = even +- odd there, folds them with the weights into an even and
+an odd row, applies the unitary flow's phase
 exp(4 i t |lam| (2 ell + d)) to them, one complex product per ell by
-angle addition, and sums both against one Laguerre sweep.  It streams
-over blocks of points and chunks of |lam|, reading each chunk's rows
-just before the sweep uses them, so its memory is one (points, |lam|)
-accumulator per block and real component, and no table over
-(ell, |lam|) is built.  Every real part that is identically zero is
-skipped on either side.
+angle addition, sums both against one Laguerre sweep for each block of
+points, and closes each point's sum over the chunk at once.  Its memory
+is one (points, chunk) accumulator per block and real component, and no
+table over (ell, |lam|) and no row over the whole grid is built.  Every
+real part that is identically zero is skipped on either side.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class RadialFunction:
         """Values on a meshgrid of rho (axis 0) and s (axis 1)."""
         R, S = np.meshgrid(rho, s, indexing="ij")
         return np.asarray(self.profile(R, S))
-
-    def at_point(self, w: GroupPoint):
-        return self.profile(w.horizontal_sq(), w.s)
 
 
 @dataclass
@@ -420,9 +417,10 @@ def _join(re, im):
 
 
 _FWD_CHUNK = 16_384
-_INV_CHUNK = 32_768     # (points x distinct |lam|) elements per synthesis chunk
-# points per synthesis block: a block shares each chunk's rows and phase, so
-# their cost per point falls with the block, while its accumulator grows
+_INV_WIDTH = 2048       # distinct |lam| per synthesis chunk
+# points per synthesis block within a chunk: a block shares each ell's rows
+# and phase, so their cost per point falls with the block, while its
+# accumulators grow
 _INV_POINTS = 16
 _PANEL_NODES = 24
 _PANEL_WIDTH = 1.0      # panel width in |lam| times max(support_rho, support_s)
@@ -527,18 +525,19 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     like ell eps.  Each real component of E and O is summed over ell
     against one Laguerre sweep.
 
-    The points go in blocks of up to _INV_POINTS and the |lam| in chunks
-    of _INV_CHUNK elements per block.  Each chunk reads c's rows there
-    once, through `c.rows`, which on analyze's panel rule interpolates
-    them onto the chunk's |lam| alone (once per block, so a call of many
-    blocks repeats that work).  Within a chunk each ell's rows and phase
-    are formed on the chunk alone and used at once by every point of the
-    block, so no (ell, |lam|) table is built; what stays is each block's
-    accumulator, one (points, |lam|) table per real component.  A component is allocated at its first nonzero chunk, so
-    one that is identically zero (the imaginary ones at t = 0, O for the
-    bump on a mirrored grid) costs neither memory nor sweep time.  Each
-    point's sum over |lam| against exp(-|lam| rho) cos(s |lam|) (E) and
-    sin(s |lam|) (O) closes it.
+    One loop runs over fixed chunks of _INV_WIDTH distinct |lam|, and
+    each chunk is closed where it is swept.  It reads c's rows there once
+    through `c.rows` (on analyze's panel rule, one interpolation however
+    many points there are).  Blocks of up to _INV_POINTS points then form
+    every ell's rows and phase on the chunk and add them, against the
+    sweep, into one (points, chunk) accumulator per real component that
+    is not identically zero there (at t = 0 the imaginary ones are, and
+    so is O for the bump on a mirrored grid).  No (ell, |lam|) table and no
+    row over the whole grid is built.  Each point's sum over the chunk
+    against exp(-|lam| rho) cos(s |lam|) (E) or sin(s |lam|) (O) is one
+    fixed-order sum of its own, added to its value.  Every sum is
+    elementwise or one point's and the chunk edges are fixed, so a
+    point's bits do not depend on which points share its call.
     """
     d = c.d
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, dtype=float),
@@ -564,98 +563,78 @@ def synthesize(c: SpectralCoefficients, rho, s, t: float = 0.0) -> np.ndarray:
     beta = 4.0 * t * nodes
     const = 2.0 ** (d - 1) / math.pi ** (d + 1)
     out = np.zeros(rho_f.size, dtype=complex)
-    # equal blocks of at most _INV_POINTS points, or of more on a grid
-    # short enough that a block's accumulator holds no more than
-    # _INV_CHUNK elements per component
-    most = max(_INV_POINTS, _INV_CHUNK // nodes.size)
-    n_blocks = max(1, -(-rho_f.size // most))
-    rows = max(1, -(-rho_f.size // n_blocks))
-    for lo in range(0, rho_f.size, rows):
-        hi = min(lo + rows, rho_f.size)
-        # acc[(odd?, imaginary?)]: one real component's sum over ell, held
-        # chunk by chunk, (chunk, point, |lam| in the chunk), so that the
-        # sweep adds into one contiguous block
-        acc = {}
-        width = max(1, _INV_CHUNK // (hi - lo))
-        n_chunks = -(-nodes.size // width)
-        for k, a in enumerate(range(0, nodes.size, width)):
-            b = min(a + width, nodes.size)
-            x = 2.0 * np.outer(rho_f[lo:hi], nodes[a:b])    # (points, |lam|)
+    for a in range(0, nodes.size, _INV_WIDTH):
+        b = min(a + _INV_WIDTH, nodes.size)
+        at = nodes[a:b]
+        rows = c.rows(a, b)
+        phase, step = np.exp(1j * d * beta[a:b]), np.exp(2j * beta[a:b])
+        for lo in range(0, rho_f.size, _INV_POINTS):
+            hi = min(lo + _INV_POINTS, rho_f.size)
+            x = 2.0 * np.outer(rho_f[lo:hi], at)            # (points, |lam|)
             term = np.empty(x.shape)
-            phase = np.exp(1j * d * beta[a:b])
-            step = np.exp(2j * beta[a:b])
-            wp, wm = w_plus[a:b], w_minus[a:b]
-            e_rows, o_rows = c.rows(a, b)
-            for ell, lk in enumerate(laguerre_sweep(c.ell_max, d - 1.0, x)):
-                e_row = None if e_rows is None else e_rows[ell]
-                o_row = None if o_rows is None else o_rows[ell]
-                if o_row is None:
-                    plus = minus = e_row
-                elif e_row is None:
-                    plus, minus = o_row, -o_row
-                else:
-                    plus, minus = e_row + o_row, e_row - o_row
-                plus = plus * wp
-                minus = minus * wm
-                if ell:
-                    # not in place: numpy multiplies a one-element complex
-                    # array in place by another loop, with other bits
-                    phase = phase * step
-                for odd, folded in ((False, plus + minus),
-                                    (True, plus - minus)):
-                    if not folded.any():
-                        continue
-                    folded = folded * phase
-                    # each component in its own contiguous row, which
-                    # every point of the block then reads
-                    for imag, comp in ((False, folded.real.copy()),
-                                       (True, folded.imag.copy())):
-                        if (odd, imag) not in acc:
-                            if not comp.any():
-                                continue
-                            acc[odd, imag] = np.zeros(
-                                (n_chunks, hi - lo, width))
-                        dest = acc[odd, imag][k, :, :b - a]
-                        if ell:
-                            np.multiply(lk, comp, out=term)
-                            dest += term
-                        else:                               # L_0 = 1
-                            dest[...] = comp
-            # the chunk's rows, interpolated on the panel rule, go before
-            # the next chunk's are read
-            del e_rows, o_rows, e_row, o_row
-        keys = sorted(acc)
-        sums = np.empty((len(keys), hi - lo))
-        # the closing sums, over _INV_CHUNK elements (or one point) at a time
-        per = max(1, _INV_CHUNK // nodes.size)
-        for i in range(0, hi - lo, per):
-            j = min(i + per, hi - lo)
-            damp = np.exp(-np.outer(rho_f[lo + i:lo + j], nodes))
-            arg = np.outer(s_f[lo + i:lo + j], nodes)
-            trig = {odd: damp * (np.sin(arg) if odd else np.cos(arg))
-                    for odd in {odd for odd, _ in keys}}
-            for p, (odd, imag) in enumerate(keys):
-                # each point's row over all |lam|, contiguous
-                full = np.ascontiguousarray(
-                    acc[odd, imag][:, i:j].transpose(1, 0, 2)).reshape(
-                        j - i, -1)[:, :nodes.size]
-                # each point's sum over |lam| on its own, in one fixed
-                # order: a BLAS product would round differently with the
-                # BLAS thread count, and a blocked einsum with the points
-                # in its block
-                sums[p, i:j] = [np.einsum("j,j->", tr, row)
-                                for tr, row in zip(trig[odd], full)]
-        for (odd, imag), part in zip(keys, sums):
-            # i sin(s |lam|) times the odd row: O.re into the imaginary
-            # component, O.im into the real one with a minus sign
-            if odd and imag:
-                out.real[lo:hi] -= part
-            elif odd or imag:
-                out.imag[lo:hi] += part
-            else:
-                out.real[lo:hi] += part
+            # acc[(odd?, imaginary?)]: one real component's sum over ell
+            acc = {}
+            for ell, (lk, comps) in enumerate(zip(
+                    laguerre_sweep(c.ell_max, d - 1.0, x),
+                    _flowed_rows(rows, w_plus[a:b], w_minus[a:b], phase,
+                                 step))):
+                for key, comp in comps:
+                    if key not in acc:
+                        acc[key] = np.zeros(x.shape)
+                    if ell:
+                        np.multiply(lk, comp, out=term)
+                        acc[key] += term
+                    else:                                   # L_0 = 1
+                        acc[key][...] = comp
+            damp = np.exp(-np.outer(rho_f[lo:hi], at))
+            arg = np.outer(s_f[lo:hi], at)
+            for odd, imag in sorted(acc):
+                trig = damp * (np.sin(arg) if odd else np.cos(arg))
+                # each point's sum on its own, in one fixed order: a BLAS
+                # product would round differently with the BLAS thread
+                # count, and the points of the block must not enter it
+                part = np.array([np.einsum("j,j->", tr, row)
+                                 for tr, row in zip(trig, acc[odd, imag])])
+                # i sin(s |lam|) times the odd row: O.re into the
+                # imaginary component, O.im into the real one, negated
+                if odd and imag:
+                    np.negative(part, out=part)
+                (out.imag if odd != imag else out.real)[lo:hi] += part
+        del rows        # before the next chunk's rows are read
     out *= const
     return out.reshape(shape)
+
+
+def _flowed_rows(rows, wp, wm, phase, step):
+    """Per ell, the nonzero real components of a chunk's even and odd rows
+    E = w+ c+ + w- c- and O = w+ c+ - w- c- times the flow's phase, as a
+    list of ((odd?, imaginary?), contiguous row).  `rows` are c's even
+    and odd parts on the chunk, `phase` the phase at ell = 0 and `step`
+    its factor from one ell to the next."""
+    e_rows, o_rows = rows
+    for ell in range((o_rows if e_rows is None else e_rows).shape[0]):
+        e_row = None if e_rows is None else e_rows[ell]
+        o_row = None if o_rows is None else o_rows[ell]
+        if o_row is None:
+            plus = minus = e_row
+        elif e_row is None:
+            plus, minus = o_row, -o_row
+        else:
+            plus, minus = e_row + o_row, e_row - o_row
+        plus = plus * wp
+        minus = minus * wm
+        if ell:
+            # not in place: numpy multiplies a one-element complex array
+            # in place by another loop, with other bits
+            phase = phase * step
+        comps = []
+        for odd, folded in ((False, plus + minus), (True, plus - minus)):
+            if folded.any():
+                folded = folded * phase
+                comps += [((odd, imag), comp.copy()) for imag, comp
+                          in ((False, folded.real), (True, folded.imag))
+                          if comp.any()]
+        yield comps
 
 
 def forward_coefficient(f: RadialFunction, ell: int, lam: float,

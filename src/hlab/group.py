@@ -95,11 +95,6 @@ def dilate(a: float, w: GroupPoint) -> GroupPoint:
     return GroupPoint(a * w.y, a * w.eta, a * a * w.s)
 
 
-def left_translate(g: GroupPoint, w: GroupPoint) -> GroupPoint:
-    """w -> g . w."""
-    return product(g, w)
-
-
 def random_point(rng: np.random.Generator, d: int = 1,
                  scale: float = 1.0) -> GroupPoint:
     """Gaussian horizontal parts, uniform vertical part in [-4, 4] * scale^2."""

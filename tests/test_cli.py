@@ -271,6 +271,22 @@ def test_r0_past_what_the_reports_can_run_is_refused(capsys):
         assert capsys.readouterr().err.endswith("-> PASS\n")
 
 
+def test_kernel_consistency_runs_up_to_its_t_over_r0_squared_cap(capsys):
+    # its lambda grid follows t / R0^2, which passes up to 4 (38801 nodes
+    # at --fast --t 4) and is refused above it: --t 6, where a point near
+    # rho = 0 can miss the tolerance, and R0 = 0.5 at the default t = 2.5
+    assert main(["kernel-consistency", "--fast", "--t", "4",
+                 "--out", os.devnull]) == 0
+    assert capsys.readouterr().err.endswith("-> PASS\n")
+    for argv, ratio in ((["kernel-consistency", "--fast", "--t", "6"], 6),
+                        (["kernel-consistency", "--R0", "0.5"], 10)):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("hlab: kernel-consistency needs t/R0^2 <= 4, got "
+                       "t/R0^2 = %g\n" % ratio)
+
+
 def test_heat_equiv_below_the_round_off_floor_exit_three(capsys):
     # at t = 0.1 the kernel falls to 1.4e-13 (rho = 0, s = +-4): a tail
     # target of 1e-9 times that lies under the series' round-off floor

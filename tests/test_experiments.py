@@ -71,9 +71,10 @@ def test_fitted_times_must_be_three_ascending():
     ExperimentConfig(experiment="strichartz-window",
                      t_values=tuple(2.0 * onset * 2.0 ** j
                                     for j in range(6))).validate()
-    # one time is enough where nothing is fitted
+    # one time is enough where nothing is fitted (kernel-consistency
+    # takes t / R0^2 up to 4)
     for name in ("heat-equiv", "kernel-consistency", "concentrate"):
-        ExperimentConfig(experiment=name, t_values=(5.0,)).validate()
+        ExperimentConfig(experiment=name, t_values=(3.0,)).validate()
 
 
 def test_fitted_times_must_follow_the_onset_time():
@@ -244,3 +245,39 @@ def test_kernel_consistency_bytes_do_not_depend_on_the_panel_rule(monkeypatch):
     monkeypatch.setattr(experiments, "analyze", as_tables)
     assert _csv_text(cfg) == on_rule
     assert len(tables) == 1 and tables[0]._rule is None
+
+
+def test_kernel_consistency_grid_follows_t_over_r0_squared(monkeypatch):
+    # lambda on [5e-4, 40] / R0^2, with at most 1.6 rad of the top line's
+    # phase per step and at least 32501 nodes per sign, odd
+    grids = []
+
+    class Stop(Exception):
+        pass
+
+    def record(f, ell_max, lambda_grid, lambda_weights, **kw):
+        grids.append((ell_max, lambda_grid))
+        raise Stop
+
+    monkeypatch.setattr(experiments, "analyze", record)
+    for fast, r0, t, n, top in ((False, 1.0, 2.5, 32501, 40.0),
+                                (True, 1.0, 4.0, 38801, 40.0),
+                                (False, 1.0, 4.0, 51601, 40.0),
+                                (False, 0.5, 1.0, 51601, 160.0),
+                                (False, 2.0, 16.0, 51601, 10.0)):
+        cfg = ExperimentConfig(experiment="kernel-consistency", fast=fast,
+                               r0=r0, t_values=(t,))
+        cfg.validate()
+        with pytest.raises(Stop):
+            run(cfg)
+        ell_max, grid = grids.pop()
+        assert grid.size == 2 * n
+        assert grid[-1] == -grid[0] == top
+        assert grid[n] == pytest.approx(5e-4 / r0 ** 2, rel=1e-15)
+        step = grid[-1] - grid[-2]
+        assert 4.0 * t * (2 * ell_max + 1) * step <= 1.6
+    # the cap is t / R0^2 = 4, whatever t and R0
+    for r0, t in ((1.0, 4.5), (0.5, 2.5), (2.0, 17.0)):
+        with pytest.raises(ConfigError, match="t/R0\\^2 <= 4"):
+            ExperimentConfig(experiment="kernel-consistency", r0=r0,
+                             t_values=(t,)).validate()

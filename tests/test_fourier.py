@@ -342,8 +342,8 @@ def _as_tables(c):
 @pytest.mark.parametrize("case", ["bump", "complex"])
 def test_panel_rule_reads_as_its_tables(case, monkeypatch):
     # every reader gives the bits of the coefficients' tables: synthesize
-    # at 1, 10 and 37 points (one block of one chunk, one block of two,
-    # three blocks of two), evolve_schrodinger, spectral_norm_sq and values
+    # at 1, 10 and 37 points (one, one and three blocks in each of three
+    # |lam| chunks), evolve_schrodinger, spectral_norm_sq and values
     c = _panel_case(case)
     tables = _as_tables(c)
     assert _panel_count(tables) is None
@@ -353,10 +353,13 @@ def test_panel_rule_reads_as_its_tables(case, monkeypatch):
         for t in (0.0, 2.5):
             assert (synthesize(c, rho, s, t).tobytes()
                     == synthesize(tables, rho, s, t).tobytes())
-    # the 37 points take one interpolation per block and chunk
+    # one interpolation per chunk, however many points there are
     reads = _spy(monkeypatch, "_interpolate")
-    synthesize(c, rho, s, 2.5)
-    assert len(reads) == 6
+    for n in (1, 10, 37):
+        synthesize(c, rho[:n], s[:n], 2.5)
+        assert len(reads) == -(-c.nodes.size // fourier._INV_WIDTH) == 3
+        assert sum(r[-1].size for r in reads) == c.nodes.size
+        reads.clear()
     assert c.values.tobytes() == tables.values.tobytes()
     assert spectral_norm_sq(c) == spectral_norm_sq(tables)
     for got, want in zip((c.even, c.odd, evolve_schrodinger(c, 2.5)),
@@ -556,56 +559,67 @@ def test_synthesize_matches_plain_loop(case, t, monkeypatch):
     s = np.array([0.0, -0.7, 2.0, -3.1, 5.5, 0.4, -1.9])
     want, mass = _synthesize_reference(c, rho, s, t)
     got = [synthesize(c, rho, s, t)]
-    # two points per block, each swept over |lam| chunks of a third of
-    # the grid: the seven points take four blocks of up to three chunks
+    # |lam| chunks of a third of the grid, each swept by the seven points
+    # in four blocks of up to two; then the whole grid in one chunk
     monkeypatch.setattr(fourier, "_INV_POINTS", 2)
-    monkeypatch.setattr(fourier, "_INV_CHUNK", 2 * (c.nodes.size // 3 + 1))
-    got.append(synthesize(c, rho, s, t))
+    for width in (c.nodes.size // 3 + 1, c.nodes.size):
+        monkeypatch.setattr(fourier, "_INV_WIDTH", width)
+        got.append(synthesize(c, rho, s, t))
     for g in got:
         assert np.all(np.abs(g - want) <= 1e-13 * mass)
 
 
 def test_synthesize_bits_do_not_depend_on_the_block(monkeypatch):
-    # over 8192 distinct |lam| (more than numpy's einsum buffer) a point's
-    # value must not depend on which points share its block, nor on where
-    # the block's |lam| chunks end: the four points together take chunks
-    # of 8192 and 809 nodes, four of 2250 and a last of one node, then
-    # one of 9001; each point alone takes one chunk
+    # over 9001 distinct |lam| (five chunks) a point's value must not
+    # depend on which points share its call or its block: 37 points in
+    # blocks of 1, 2, 5, 16 and 64, in their order, reversed, and mixed
+    # with other points, against each point alone
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 9001, 1)
     c = analyze(bump_profile(1.0), ell_max=3,
                 lambda_grid=np.concatenate([-gp[::-1], gp]),
                 lambda_weights=np.concatenate([wp[::-1], wp]),
                 n_rho=32, n_s=33)
-    rho = np.array([0.0, 0.4, 1.3, 2.2])
-    s = np.array([0.3, -1.1, 0.0, 2.5])
+    rng = np.random.default_rng(26)
+    rho = rng.uniform(0.0, 3.0, 37)
+    rho[0] = 0.0
+    s = rng.uniform(-4.0, 4.0, 37)
     alone = np.array([synthesize(c, r, x, 2.5) for r, x in zip(rho, s)])
-    for chunk in (fourier._INV_CHUNK, 9001 + 1, 4 * 9001):
-        monkeypatch.setattr(fourier, "_INV_CHUNK", chunk)
+    more = rng.uniform(0.0, 3.0, 11), rng.uniform(-4.0, 4.0, 11)
+    for points in (1, 2, 5, 16, 64):
+        monkeypatch.setattr(fourier, "_INV_POINTS", points)
         assert synthesize(c, rho, s, 2.5).tobytes() == alone.tobytes()
+        assert (synthesize(c, rho[::-1], s[::-1], 2.5).tobytes()
+                == alone[::-1].tobytes())
+        mixed = synthesize(c, np.concatenate([more[0], rho[::3]]),
+                           np.concatenate([more[1], s[::3]]), 2.5)
+        assert mixed[11:].tobytes() == alone[::3].tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, 2.5])
 @pytest.mark.parametrize("case", [1, 2, "complex", "one-sided", "line"])
 def test_synthesize_bits_do_not_depend_on_the_chunks(case, t, monkeypatch):
-    # 37 points on grids of 60 to 129 |lam|.  Under _INV_CHUNK = 1 and 143
-    # they take three blocks (13, 13 and 11 points) of chunks one node
-    # wide, then 143 // 13 = 11 and 143 // 11 = 13 wide, which divide no
-    # grid's node count here; under the default they take one block and
-    # one chunk, as each point alone does.  At t = 0 every imaginary
-    # component is zero and skipped, and so is the odd one of the bump on
-    # its mirrored grid (case 1)
+    # 37 points on grids of 60 to 129 |lam|.  A point's bits follow the
+    # chunk edges alone, not the points that share its chunks: under
+    # _INV_WIDTH = 1, 11, 13 (which divide no grid's node count here) and
+    # the default (one chunk), 37 points in blocks of 16 (16, 16 and 5)
+    # or of 5 read as each point alone does.  Every width meets the
+    # plain loop.  At t = 0 every imaginary component is zero and
+    # skipped, and so is the odd one of the bump on its mirrored grid
+    # (case 1)
     c = _synthesis_case(case)
-    monkeypatch.setattr(fourier, "_INV_POINTS", 16)
-    assert 143 // c.nodes.size < 16
     assert all(c.nodes.size % w for w in (11, 13))
     rng = np.random.default_rng(23)
     rho = rng.uniform(0.0, 3.0, 37)
     rho[0] = 0.0
     s = rng.uniform(-4.0, 4.0, 37)
-    alone = np.array([synthesize(c, r, x, t) for r, x in zip(rho, s)])
-    for chunk in (1, 143, fourier._INV_CHUNK):
-        monkeypatch.setattr(fourier, "_INV_CHUNK", chunk)
-        assert synthesize(c, rho, s, t).tobytes() == alone.tobytes()
+    want, mass = _synthesize_reference(c, rho, s, t)
+    for width in (1, 11, 13, fourier._INV_WIDTH):
+        monkeypatch.setattr(fourier, "_INV_WIDTH", width)
+        alone = np.array([synthesize(c, r, x, t) for r, x in zip(rho, s)])
+        assert np.all(np.abs(alone - want) <= 1e-13 * mass)
+        for points in (16, 5):
+            monkeypatch.setattr(fourier, "_INV_POINTS", points)
+            assert synthesize(c, rho, s, t).tobytes() == alone.tobytes()
 
 
 def test_synthesize_rejects_negative_rho():
@@ -667,8 +681,10 @@ def test_synthesize_streams_the_evolved_rows():
     # kernel-consistency --fast's synthesis: ell_max 48, 32501 distinct
     # |lam| and ten points.  Rows formed over the whole grid before the
     # sweep would take 2 T for the bump's two components, T one real
-    # (ell_max + 1) x 32501 table; the block's accumulators, 20 of the 49
-    # rows of a T, are what stays
+    # (ell_max + 1) x 32501 table, and a (points, |lam|) accumulator over
+    # the whole grid 0.2 T per component; one chunk of 2048 |lam| holds
+    # its interpolated rows (0.06 T), the block's accumulators and the
+    # sweep's buffers, 0.32 T in all
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 32501, 1)
     c = analyze(bump_profile(1.0), ell_max=48,
                 lambda_grid=np.concatenate([-gp[::-1], gp]),
@@ -679,7 +695,7 @@ def test_synthesize_streams_the_evolved_rows():
     synthesize(analyze(bump_profile(1.0), ell_max=2, n_rho=8, n_s=9),
                rho, s, 2.5)
     peak = _peak_bytes(lambda: synthesize(c, rho, s, 2.5))
-    assert peak < 49 * gp.size * 8
+    assert peak < 0.5 * 49 * gp.size * 8
 
 
 def _arrays(obj):
@@ -696,14 +712,13 @@ def _arrays(obj):
 
 def test_transform_keeps_no_signed_table(monkeypatch):
     # kernel-consistency's route at its --fast ell_max on 8001 lam per
-    # sign, with ten |lam| chunks per synthesis block as at its 32501
-    # nodes.  With T one real (ell_max + 1) x 8001 table: the coefficients
-    # keep the bump's part on the panel rule (0.13 T), not as a table over
-    # the nodes (T), and a synthesis block holds its accumulators (0.45 T)
-    # and one chunk's interpolated rows (0.1 T); 0.99 T in all.  With
-    # the part as a table the route takes 1.77 T, a complex table on the
-    # signed grid would be 4 T alone, and evolved rows over the whole grid
-    # 2 T more
+    # sign, in sixteen |lam| chunks of 500 as at its 32501 nodes.  With T
+    # one real (ell_max + 1) x 8001 table: the coefficients keep the
+    # bump's part on the panel rule (0.19 T), not as a table over the
+    # nodes (T); analyze peaks at 0.79 T and the synthesis, with one
+    # chunk's rows, accumulators and sweep, at 0.6 T.  With the part as a
+    # table the route takes 1.64 T, a complex table on the signed grid
+    # would be 4 T alone, and evolved rows over the whole grid 2 T more
     f = bump_profile(1.0)
     gp, wp = single_sign_lambda_grid(5e-4, 40.0, 8001, 1)
     grid = np.concatenate([-gp[::-1], gp])
@@ -711,7 +726,7 @@ def test_transform_keeps_no_signed_table(monkeypatch):
     rho, s = np.linspace(0.0, 2.0, 10), np.linspace(-2.0, 2.0, 10)
     # numpy imports and caches what its first calls need
     synthesize(analyze(f, ell_max=2, n_rho=8, n_s=9), rho, s, 2.5)
-    monkeypatch.setattr(fourier, "_INV_CHUNK", gp.size)
+    monkeypatch.setattr(fourier, "_INV_WIDTH", 500)
     kept = []
 
     def transform():
@@ -751,15 +766,13 @@ def test_spectral_tail_of_bump_decays_like_one_over_ell():
     assert tails[16] > tails[32] > tails[64]
 
 
-def test_radial_function_table_and_point_eval():
+def test_radial_function_table():
     f = bump_profile(1.1, amplitude=2.0)
     rho = np.linspace(0.0, 1.2, 7)
     s = np.linspace(-1.2, 1.2, 9)
     tab = f.table(rho, s)
     assert tab.shape == (7, 9)
     assert tab.max() == pytest.approx(2.0, rel=1e-12)
-    w = GroupPoint(np.array([0.2]), np.array([0.1]), -0.3)
-    assert f.at_point(w) == pytest.approx(f.profile(w.horizontal_sq(), w.s))
     with pytest.raises(ValueError):
         RadialFunction(profile=lambda r, t: r, support_rho=0.0, support_s=1.0)
     with pytest.raises(ValueError):
