@@ -291,23 +291,26 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
 
     The profile is integrated over its declared supports only, so by
     Paley-Wiener each part is entire in |lam|, of exponential type about
-    the supports, however fast the flows later make c oscillate.  A grid
-    of many distinct |lam| therefore takes the parts on a Gauss-Legendre
-    panel rule in |lam| (24 nodes per panel, panels 1 / max(support_rho,
-    support_s) wide, covering [0, max |lam|]), and c keeps them there:
-    each read of its rows interpolates them by barycentric Lagrange per
-    panel onto the |lam| it asks for.  Each panel's interpolant is probed
-    against a direct evaluation at its top edge; while some ell's probe
-    exceeds 1e-13 of that ell's largest part value plus the part's
-    round-off floor, (ell + 1) eps C(ell + d - 1, ell) times the sum of
-    |weights * part table|, the width is halved.
-    The rule is used only while it, with its probes, takes fewer
-    evaluations than the grid has distinct |lam|; otherwise every |lam|
-    is evaluated directly and c holds the tables.
+    S = max(support_rho, support_s), however fast the flows later make c
+    oscillate.  A grid of many distinct |lam| therefore takes the parts on
+    a Gauss-Legendre panel rule in |lam| (24 nodes per panel, panels 1 / S
+    wide, covering [0, max |lam|]), and c keeps them there: each read of
+    its rows interpolates them by barycentric Lagrange per panel onto the
+    |lam| it asks for.  Each panel's interpolant is probed against a
+    direct evaluation at its top edge; while some ell's probe exceeds
+    1e-13 of that ell's largest part value plus the part's round-off
+    floor, (ell + 1) eps C(ell + d - 1, ell) times the sum of |weights *
+    part table|, the width is halved.  The rule is used only while it,
+    with its probes, takes fewer evaluations than the grid has distinct
+    |lam|; otherwise every |lam| is evaluated directly and c holds the
+    tables.  The default grid is the unit one dilated to f's size,
+    default_lambda_grid(1e-3 / S, 50 / S): the bump of any radius gets 400
+    |lam| per sign and a default s rule of 101 nodes.
     """
     d = f.d
+    S = max(f.support_rho, f.support_s)
     if lambda_grid is None:
-        lambda_grid, lambda_weights = default_lambda_grid()
+        lambda_grid, lambda_weights = default_lambda_grid(1e-3 / S, 50.0 / S)
     if lambda_weights is None:
         raise ValueError("custom lambda_grid needs explicit weights")
     grid = _signed_grid(lambda_grid, lambda_weights)
@@ -379,8 +382,8 @@ def analyze(f: RadialFunction, ell_max: int = 16, lambda_grid=None,
     scale = np.array([base / multiplicity(ell, d)
                       for ell in range(ell_max + 1)])[:, None]
     # zero data has no part to put on a rule
-    rule = _on_panels(transforms, nodes, _PANEL_WIDTH / max(
-        f.support_rho, f.support_s), floor) if parts else None
+    rule = _on_panels(transforms, nodes, _PANEL_WIDTH / S,
+                      floor) if parts else None
     if rule is not None:
         return SpectralCoefficients._on(
             d, grid, rule=_PanelRule(*rule, scale, tuple(places)))

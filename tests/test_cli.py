@@ -243,13 +243,9 @@ def test_mkappa_reaches_the_endpoint_at_d2_and_d3(capsys, d):
 
 
 def test_r0_past_what_the_reports_can_run_is_refused(capsys):
-    # dispersion's spectral mass row would build a 375063-node Gauss rule
-    # (a 1 TiB MemoryError); at R0 = 1e20 strichartz-window's convolution
-    # moments overflow and 4 of 10 rows fail
+    # at R0 = 1e20 strichartz-window's convolution moments overflow and 4
+    # of 10 rows fail
     for argv, needle in (
-            (["dispersion", "--fast", "--R0", "100"],
-             "R0 = 100 is too large: the spectral mass row's s rule needs "
-             "over 4096 Gauss nodes"),
             (["strichartz-window", "--fast", "--R0", "1e20"],
              "R0 = 1e+20 is too large: the onset time, the bump's R0^4 or "
              "the convolution's moments overflow"),
@@ -260,8 +256,10 @@ def test_r0_past_what_the_reports_can_run_is_refused(capsys):
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "hlab: " + needle + "\n"
-    # below the bounds both still run and pass
+    # below the bounds both still run and pass; dispersion's spectral mass
+    # row takes its lambda grid, and so its 101-node s rule, from R0
     for argv in (["dispersion", "--fast", "--R0", "10"],
+                 ["dispersion", "--fast", "--R0", "100"],
                  ["strichartz-window", "--fast", "--R0", "1e10"],
                  ["strichartz-window", "--fast", "--d", "3", "--R0", "1e10"]):
         with warnings.catch_warnings():
@@ -274,17 +272,60 @@ def test_r0_past_what_the_reports_can_run_is_refused(capsys):
 def test_kernel_consistency_runs_up_to_its_t_over_r0_squared_cap(capsys):
     # its lambda grid follows t / R0^2, which passes up to 4 (38801 nodes
     # at --fast --t 4) and is refused above it: --t 6, where a point near
-    # rho = 0 can miss the tolerance, and R0 = 0.5 at the default t = 2.5
+    # rho = 0 can miss the tolerance, and R0 = 0.5 at t = 2.5; kappa = 1.5
+    # puts the onset time at 4 R0^2 and leaves no time to run
     assert main(["kernel-consistency", "--fast", "--t", "4",
                  "--out", os.devnull]) == 0
     assert capsys.readouterr().err.endswith("-> PASS\n")
-    for argv, ratio in ((["kernel-consistency", "--fast", "--t", "6"], 6),
-                        (["kernel-consistency", "--R0", "0.5"], 10)):
+    for argv, window in (
+            (["kernel-consistency", "--fast", "--t", "6"],
+             "(1, 4] for kappa=1, R0=1, got t = 6"),
+            (["kernel-consistency", "--R0", "0.5", "--t", "2.5"],
+             "(0.25, 1] for kappa=1, R0=0.5, got t = 2.5"),
+            (["kernel-consistency", "--fast", "--kappa", "1.5"],
+             "(4, 4] for kappa=1.5, R0=1, got t = 2.5")):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == ("hlab: kernel-consistency needs t/R0^2 <= 4, got "
-                       "t/R0^2 = %g\n" % ratio)
+        assert err == ("hlab: kernel-consistency needs t in (onset, 4 R0^2] "
+                       "= %s\n" % window)
+
+
+def _rel_err_column(out):
+    return [float(row.split(",")[8]) for row in out.splitlines()
+            if row.startswith("evolve,")]
+
+
+def test_kernel_consistency_default_time_follows_r0(capsys):
+    # the default time is 2.5 R0^2 and the lambda grid [5e-4, 40] / R0^2:
+    # the report at R0 = 2 is the one at R0 = 1 dilated by delta_2, and
+    # its evolve rows keep their relative errors
+    assert main(["kernel-consistency", "--fast"]) == 0
+    unit = capsys.readouterr().out
+    assert main(["kernel-consistency", "--fast", "--R0", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "kernel-consistency: 13/13 rows pass -> PASS\n"
+    assert "\n# t=10\n" in out
+    assert len(_rel_err_column(out)) == 10
+    assert _rel_err_column(out) == pytest.approx(_rel_err_column(unit),
+                                                 rel=1e-9)
+
+
+@pytest.mark.parametrize("r0", ["0.5", "12", "100", "1e6"])
+def test_reports_that_read_r0_run_or_refuse_at_every_scale(r0, capsys):
+    # each report sizes its times and grids from R0, so it either runs
+    # and passes or refuses with one line; it never fails a row, stops
+    # on a numerical failure or raises
+    for argv in (["dispersion", "--fast"], ["strichartz-window", "--fast"],
+                 ["kernel-consistency", "--fast"], ["mkappa"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--R0", r0, "--out", os.devnull])
+        err = capsys.readouterr().err
+        assert code in (0, 2), argv
+        assert err.count("\n") == 1
+        assert err.endswith("-> PASS\n") if code == 0 else err.startswith(
+            "hlab: ")
 
 
 def test_heat_equiv_below_the_round_off_floor_exit_three(capsys):

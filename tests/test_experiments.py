@@ -49,7 +49,8 @@ def test_kappa_cap_only_where_dispersion_enters():
     for name in ("dispersion", "strichartz-window", "kernel-consistency"):
         with pytest.raises(ConfigError, match="too large"):
             ExperimentConfig(experiment=name, kappa=2.0).validate()
-        ExperimentConfig(experiment=name, kappa=1.9).validate()
+        if name != "kernel-consistency":    # its time window is tested below
+            ExperimentConfig(experiment=name, kappa=1.9).validate()
     # kappa <= 0 is refused whatever its square
     with pytest.raises(ConfigError, match="must be positive"):
         ExperimentConfig(experiment="dispersion", kappa=-1.0).validate()
@@ -278,6 +279,37 @@ def test_kernel_consistency_grid_follows_t_over_r0_squared(monkeypatch):
         assert 4.0 * t * (2 * ell_max + 1) * step <= 1.6
     # the cap is t / R0^2 = 4, whatever t and R0
     for r0, t in ((1.0, 4.5), (0.5, 2.5), (2.0, 17.0)):
-        with pytest.raises(ConfigError, match="t/R0\\^2 <= 4"):
+        with pytest.raises(ConfigError, match="t in \\(onset, 4 R0\\^2\\]"):
             ExperimentConfig(experiment="kernel-consistency", r0=r0,
                              t_values=(t,)).validate()
+
+
+def test_kernel_consistency_window_is_checked_before_the_run():
+    # kappa = 1.5 and 1.9 put the onset time (R0 / (2 - kappa))^2 at 4 and
+    # 100 R0^2, past the default time 2.5 R0^2 and the window's end 4 R0^2:
+    # validate refuses what the run could not do
+    for kappa, r0, window in ((1.5, 1.0, "(4, 4]"), (1.5, 3.0, "(36, 36]"),
+                              (1.9, 1.0, "(100, 4]")):
+        cfg = ExperimentConfig(experiment="kernel-consistency", kappa=kappa,
+                               r0=r0)
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value).endswith("= %s for kappa=%g, R0=%g, got t = %g"
+                                       % (window, kappa, r0, 2.5 * r0 ** 2))
+    # at kappa = 1.3 the onset time 2.04 R0^2 leaves the default time in
+    ExperimentConfig(experiment="kernel-consistency", kappa=1.3,
+                     r0=3.0).validate()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectral_mass_follows_the_dilation_law(d):
+    # the bump of radius R0 is the unit bump dilated by delta_R0, and
+    # analyze's default grid is dilated with it, so the spectral mass,
+    # the squared L2 norm, is R0^Q times the unit bump's, Q = 2d + 2
+    def mass(r0):
+        rows = run(ExperimentConfig(experiment="dispersion", d=d, r0=r0,
+                                    fast=True)).rows
+        return next(row[3] for row in rows if row[0] == "mass-spectral")
+    unit = mass(1.0)
+    for r0 in (2.0, 3.0):
+        assert mass(r0) == pytest.approx(r0 ** (2 * d + 2) * unit, rel=1e-10)
