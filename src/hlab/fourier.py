@@ -642,13 +642,16 @@ def _flowed_rows(rows, wp, wm, phase, step):
 
 def forward_coefficient(f: RadialFunction, ell: int, lam: float,
                         n_rho: int = 256) -> complex:
-    """Single transform value at one frequency, by direct quadrature: Gauss
-    rules of n_rho nodes in rho and 64 more than analyze's in s."""
+    """Single transform value at one frequency, by direct quadrature: a
+    Gauss rule of n_rho nodes in rho, and in s 24-node Gauss panels with
+    about 2 n_s nodes, n_s being 64 more than analyze's s rule."""
     point = FrequencyPoint(ell, lam)
     d = f.d
     n_s = _default_n_s(f.support_s, abs(point.lam)) + 64
     rho, wr = gauss_panels(0.0, f.support_rho, 1, n_rho)
-    s, ws = gauss_panels(-f.support_s, f.support_s, 1, n_s)
+    # panels take O(n_s) to build, one n_s-node Gauss rule O(n_s^2); with
+    # twice its nodes they meet its value to round-off
+    s, ws = gauss_panels(-f.support_s, f.support_s, math.ceil(n_s / 12), 24)
     table = f.table(rho, s)
     vert = table @ (ws * np.exp(-1j * s * point.lam))
     blk = wigner_radial(point.ell, point.lam, rho, d - 1.0)

@@ -93,13 +93,3 @@ def dilate(a: float, w: GroupPoint) -> GroupPoint:
     if a <= 0.0:
         raise ValueError("dilation parameter must be positive")
     return GroupPoint(a * w.y, a * w.eta, a * a * w.s)
-
-
-def random_point(rng: np.random.Generator, d: int = 1,
-                 scale: float = 1.0) -> GroupPoint:
-    """Gaussian horizontal parts, uniform vertical part in [-4, 4] * scale^2."""
-    y = scale * rng.standard_normal(d)
-    eta = scale * rng.standard_normal(d)
-    s = scale * scale * rng.uniform(-4.0, 4.0)
-    return GroupPoint(y, eta, s)
-

@@ -396,8 +396,34 @@ def integrate_exponential_tail(integrand: Integrand1D, tol,
 # ---------------------------------------------------------------------------
 # Fixed rules
 
+# The nonnegative halves of numpy.polynomial.legendre.leggauss(16) and
+# (24), nodes then weights: repr(float(v)) for v in leggauss(n)[k][n // 2:]
+# under numpy 2.4.  That output is exactly symmetric, so the mirrored
+# halves are numpy's arrays bit for bit (the tests compare them), without
+# importing numpy.polynomial.
+_GL_HALVES = {
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+          0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+          0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+          0.062253523938647456, 0.027152459411754176)),
+    24: ((0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+          0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+          0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+          0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+         (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+          0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+          0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+          0.04427743881741941, 0.02853138862893356, 0.01234122979998869)),
+}
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
+    if n in _GL_HALVES:
+        x, w = map(np.array, _GL_HALVES[n])
+        return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
     return np.polynomial.legendre.leggauss(n)
 
 

@@ -21,8 +21,9 @@ from hlab.fourier import (RadialFunction, SpectralCoefficients, analyze,
                           evolve_schrodinger, single_sign_lambda_grid,
                           spatial_norm_sq, spectral_norm_sq, synthesize)
 from hlab.group import (dilate, distance, homogeneous_dimension, identity,
-                        inverse, koranyi_norm, product, random_point)
+                        inverse, koranyi_norm, product)
 from hlab.quadrature import radial_ball_norms, radial_ball_rule
+from test_group import random_point
 
 _CACHE = {}
 

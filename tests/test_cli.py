@@ -1,5 +1,6 @@
 """Command line harness: parsing, exit codes, streams."""
 
+import json
 import os
 import re
 import shutil
@@ -283,12 +284,21 @@ def test_kernel_consistency_runs_up_to_its_t_over_r0_squared_cap(capsys):
             (["kernel-consistency", "--R0", "0.5", "--t", "2.5"],
              "(0.25, 1] for kappa=1, R0=0.5, got t = 2.5"),
             (["kernel-consistency", "--fast", "--kappa", "1.5"],
-             "(4, 4] for kappa=1.5, R0=1, got t = 2.5")):
+             "(4, 4] for kappa=1.5, R0=1, got t = 4")):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == ("hlab: kernel-consistency needs t in (onset, 4 R0^2] "
                        "= %s\n" % window)
+
+
+def test_kernel_consistency_default_time_sits_in_its_window(capsys):
+    # at kappa = 1.4 the window (onset, 4 R0^2] starts at 2.78 R0^2, past
+    # 2.5 R0^2: the default time is then the window's middle
+    assert main(["kernel-consistency", "--fast", "--kappa", "1.4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "kernel-consistency: 13/13 rows pass -> PASS\n"
+    assert "\n# t=3.38888888889\n" in out
 
 
 def _rel_err_column(out):
@@ -377,6 +387,17 @@ def test_module_entry_point():
     assert proc.stdout.startswith("# schema=1\n")
 
 
+def _fresh_python(script, *args) -> str:
+    """Standard output of a script run in a new interpreter on this hlab."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(hlab.__file__))]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 from hlab.cli import main
@@ -392,10 +413,32 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_reports_import_no_scipy():
     # numpy is the only runtime dependency: scipy serves the tests alone
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(hlab.__file__))]
-        + env.get("PYTHONPATH", "").split(os.pathsep))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert _fresh_python(_NO_SCIPY_SCRIPT) == "[]\n"
+
+
+_LOADED_SCRIPT = """
+import contextlib, io, json, os, sys
+from hlab.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--out", os.devnull]) == 0, argv
+    loaded.append([m for m in ("numpy.random", "numpy.polynomial")
+                   if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_reports_leave_numpy_random_and_polynomial_unloaded():
+    # the seeded draws are a pure-Python PCG64 and the 16- and 24-node
+    # Gauss rules literal tables, so these reports, run one after another
+    # in one new process, load neither package; kernel-consistency and
+    # dispersion, run last, build 101- to 225-node rules through
+    # numpy.polynomial but still draw without numpy.random
+    lean = [["heat-equiv"], ["restricted-sweep"], ["mkappa"], ["mehler"],
+            ["strichartz-window", "--fast"], ["concentrate", "--fast"]]
+    rules = [["kernel-consistency", "--fast"], ["dispersion", "--fast"]]
+    loaded = json.loads(_fresh_python(_LOADED_SCRIPT,
+                                      json.dumps(lean + rules)))
+    assert loaded[:len(lean)] == [[]] * len(lean)
+    assert all("numpy.random" not in got for got in loaded[len(lean):])

@@ -5,6 +5,7 @@ are exercised by the acceptance suite; here we only smoke the cheap ones.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -286,19 +287,80 @@ def test_kernel_consistency_grid_follows_t_over_r0_squared(monkeypatch):
 
 def test_kernel_consistency_window_is_checked_before_the_run():
     # kappa = 1.5 and 1.9 put the onset time (R0 / (2 - kappa))^2 at 4 and
-    # 100 R0^2, past the default time 2.5 R0^2 and the window's end 4 R0^2:
-    # validate refuses what the run could not do
-    for kappa, r0, window in ((1.5, 1.0, "(4, 4]"), (1.5, 3.0, "(36, 36]"),
-                              (1.9, 1.0, "(100, 4]")):
+    # 100 R0^2, at or past the window's end 4 R0^2, and the default time,
+    # the window's middle there, at 4 and 52 R0^2: validate refuses what
+    # the run could not do
+    for kappa, r0, window, t in ((1.5, 1.0, "(4, 4]", 4),
+                                 (1.5, 3.0, "(36, 36]", 36),
+                                 (1.9, 1.0, "(100, 4]", 52)):
         cfg = ExperimentConfig(experiment="kernel-consistency", kappa=kappa,
                                r0=r0)
         with pytest.raises(ConfigError) as exc:
             cfg.validate()
         assert str(exc.value).endswith("= %s for kappa=%g, R0=%g, got t = %g"
-                                       % (window, kappa, r0, 2.5 * r0 ** 2))
-    # at kappa = 1.3 the onset time 2.04 R0^2 leaves the default time in
-    ExperimentConfig(experiment="kernel-consistency", kappa=1.3,
-                     r0=3.0).validate()
+                                       % (window, kappa, r0, t))
+    # below kappa = 1.5 the default time lies in the window: 2.5 R0^2 up
+    # to kappa = 1, the window's middle above (onset 2.04 R0^2 and 3.31
+    # R0^2 at kappa 1.3 and 1.45)
+    for kappa, r0, t in ((0.5, 1.0, 2.5), (1.0, 2.0, 10.0),
+                         (1.3, 3.0, 9.0 * (0.7 ** -2 + 4.0) / 2.0),
+                         (1.45, 1.0, (0.55 ** -2 + 4.0) / 2.0)):
+        cfg = ExperimentConfig(experiment="kernel-consistency", kappa=kappa,
+                               r0=r0)
+        cfg.validate()
+        assert experiments._kc_time(cfg) == pytest.approx(t, rel=1e-12)
+
+
+_DRAW_SEEDS = (0, 1, 4242, 20260816, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
+               10 ** 30)
+
+
+def _mehler_draws(rng):
+    draws = []
+    for _ in range(20):
+        draws += [rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                  rng.uniform(-0.6, 0.6)]
+    for _ in range(20):
+        draws += [rng.uniform(0.5, 3.0), rng.uniform(0.1, 0.6),
+                  rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+    return draws
+
+
+def _kernel_consistency_draws(rng, d=1):
+    gauge = 1.0 * math.sqrt(2.5)
+    draws = []
+    for _ in range(40):
+        draws += [rng.uniform(-gauge, gauge, size=d),
+                  rng.uniform(-gauge, gauge, size=d),
+                  rng.uniform(-gauge * gauge, gauge * gauge)]
+    return draws
+
+
+def _concentrate_draws(rng):
+    return [rng.uniform(0.0, 3.0, 20), rng.uniform(-8.0, 8.0, 20)]
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+@pytest.mark.parametrize("draws", [
+    _mehler_draws, _kernel_consistency_draws, _concentrate_draws,
+    lambda rng: _kernel_consistency_draws(rng, d=2)])
+def test_seeded_draws_are_numpys_pcg64_stream(draws, seed):
+    # each seeded report's draws, with its bounds and in its order, from
+    # the pure-Python generator and from numpy's default_rng: the same
+    # types, shapes and bits
+    got = draws(experiments._Pcg64(seed))
+    want = draws(np.random.default_rng(seed))
+    assert [(type(a), np.shape(a)) for a in got] == [
+        (type(b), np.shape(b)) for b in want]
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(got, want))
+
+
+def test_negative_seeds_are_refused():
+    # numpy's SeedSequence, which the draws follow, takes no negative seed
+    for name in ("mehler", "kernel-consistency", "concentrate"):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            ExperimentConfig(experiment=name, seed=-1).validate()
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from hlab.group import (GroupPoint, dilate, distance, homogeneous_dimension,
-                        identity, inverse, koranyi_norm, product,
-                        random_point)
+                        identity, inverse, koranyi_norm, product)
 from hlab.quadrature import radial_ball_norms, radial_ball_rule
 
 N_CASES = 1000
+
+
+def random_point(rng: np.random.Generator, d: int = 1,
+                 scale: float = 1.0) -> GroupPoint:
+    """Gaussian horizontal parts, uniform vertical part in [-4, 4] * scale^2."""
+    y = scale * rng.standard_normal(d)
+    eta = scale * rng.standard_normal(d)
+    s = scale * scale * rng.uniform(-4.0, 4.0)
+    return GroupPoint(y, eta, s)
 
 
 def _points(seed, d=1, scale=1.0, n=N_CASES):

@@ -13,7 +13,7 @@ from hlab import kernels
 from hlab.fourier import bump_profile
 from hlab.quadrature import (_EPS, _W7_ON_15, _W15, _X15, EnvelopeError,
                              GridSpec, Integrand1D, QuadratureError,
-                             QuadratureNonConvergence, _gk_panels,
+                             QuadratureNonConvergence, _gk_panels, _leggauss,
                              gauss_panels, grid_nodes_weights,
                              integrate_adaptive, integrate_exponential_tail,
                              radial_ball_norms, radial_ball_rule)
@@ -364,6 +364,13 @@ def test_gauss_panels_exact_to_degree_2n_minus_1():
     # one degree higher is no longer exact on a single panel
     x, w = gauss_panels(-1.0, 1.0, 1, 3)
     assert abs(w @ x ** 6 - 2.0 / 7.0) > 1e-2
+
+
+@pytest.mark.parametrize("n", [16, 24, 17])
+def test_leggauss_is_numpys_rule_bit_for_bit(n):
+    # 16 and 24 nodes come from literal tables, other sizes from numpy
+    for got, want in zip(_leggauss(n), np.polynomial.legendre.leggauss(n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _gauss(a, b, panels, n):
