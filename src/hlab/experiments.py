@@ -390,7 +390,8 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
         s = rng.uniform(-gauge * gauge, gauge * gauge)
         if (np.sum(y ** 2) + np.sum(eta ** 2)) ** 2 + s ** 2 < gauge ** 4:
             cand.append(GroupPoint(y=y, eta=eta, s=float(s)))
-    conv_vals, conv_err = evolve_by_convolution(u0, t, cand, tol=1e-6)
+    conv = evolve_by_convolution(u0, t, cand, tol=1e-6)
+    conv_vals, conv_err = conv.values, conv.err
 
     scale = float(np.max(np.abs(conv_vals)))
     order = np.argsort(-np.abs(conv_vals))
@@ -404,6 +405,7 @@ def run_kernel_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     gn, wn = single_sign_lambda_grid(lam_min, lam_max, n_lam, -1)
     lam_grid = np.concatenate([gn, gp])
     lam_w = np.concatenate([wn, wp])
+    del gp, wp, gn, wn      # n_lam nodes and weights per sign, not needed
     coef = analyze(u0, ell_max=ell_max, lambda_grid=lam_grid,
                    lambda_weights=lam_w, n_rho=225, n_s=193)
     spec = synthesize(coef, [float(cand[i].horizontal_sq()) for i in picked],
@@ -463,9 +465,8 @@ def _evolved_ball_norms(u0, t, kappa, n_h, n_v):
     e1 = np.eye(d)[0]
     points = [GroupPoint(y=math.sqrt(r) * e1, eta=np.zeros(d), s=float(si))
               for r, si in zip(rho, s)]
-    vals, err = evolve_by_convolution(u0, t, points, tol=1e-8)
-    sup, l2, l4 = radial_ball_norms(vals, w, d, (np.inf, 2, 4))
-    return sup, l2, l4, err
+    vals = evolve_by_convolution(u0, t, points, tol=1e-8).values
+    return radial_ball_norms(vals, w, d, (np.inf, 2, 4))
 
 
 def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
@@ -492,7 +493,7 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     sups = []
     for t in t_list:
-        sup, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
+        sup, l2, l4 = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
         sups.append(sup)
         bound_inf = m_kappa * t ** (-half_q) * l1
         rows.append(("sup", t, sup, bound_inf, bound_inf / sup,
@@ -554,7 +555,7 @@ def run_strichartz(cfg: ExperimentConfig) -> ExperimentReport:
     u0 = bump_profile(cfg.r0, d)
     sups, l4s = [], []
     for t in t_list:
-        sup, _, l4, _ = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
+        sup, _, l4 = _evolved_ball_norms(u0, t, kappa, n_h, n_v)
         sups.append(sup)
         l4s.append(l4)
 

@@ -757,11 +757,17 @@ def bump_profile(r0: float, d: int = 1,
         q = (rho * rho + s * s) / r4
         scalar = q.ndim == 0
         q = np.atleast_1d(q)
-        out = np.zeros_like(q)
         inside = q < 1.0
         qi = q[inside]
-        out[inside] = amplitude * np.exp(-qi / (1.0 - qi))
-        return float(out[0]) if scalar else out
+        # -qi / (1 - qi), its exp and the output in place: the bump's own
+        # norms take it on some 1e5 ball nodes
+        x = 1.0 - qi
+        np.negative(np.divide(qi, x, out=x), out=x)
+        np.exp(x, out=x)
+        x *= amplitude
+        q.fill(0.0)
+        q[inside] = x
+        return float(q[0]) if scalar else q
 
     return RadialFunction(profile=profile, support_rho=r0 ** 2,
                           support_s=r0 ** 2, d=d)

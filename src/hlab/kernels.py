@@ -241,6 +241,17 @@ def series_term_closed(d: int, z: complex, rho, s, ell) -> np.ndarray:
     smooth interpolation of the terms, which _series_estimate integrates
     for its tail.  SingularPoint where p = 0.
     """
+    out, _ = _closed_terms(d, z, rho, s, ell)
+    if np.isscalar(ell) or np.asarray(ell).ndim == 0:
+        return complex(out[0])
+    return out
+
+
+def _closed_terms(d, z, rho, s, ell):
+    """series_term_closed's terms as an array, and beside them the sizes
+    1 + |(ell - 1) log(p - b)| + |(ell + d + 1) log p| of the exponent:
+    eps times a size bounds the relative round-off that the exponent puts
+    on its term."""
     ells = np.atleast_1d(np.asarray(ell, dtype=float))
     alpha = d - 1
     p = 4.0 * z * (2.0 * ells + d) + rho - 1j * s
@@ -257,17 +268,18 @@ def series_term_closed(d: int, z: complex, rho, s, ell) -> np.ndarray:
         coef *= ells + j
     head = (alpha + 1.0) * p - (ells + alpha + 1.0) * (2.0 * rho)
     with np.errstate(all="ignore"):     # ell = 0 too, replaced below
-        logpb = np.where(pb == 0.0, 0.0, np.log(pb))
-        expo = (ells - 1.0) * logpb - (ells + alpha + 2.0) * np.log(p)
+        expo = (ells - 1.0) * np.where(pb == 0.0, 0.0, np.log(pb))
+        big = (ells + alpha + 2.0) * np.log(p)
+        sizes = 1.0 + np.abs(expo) + np.abs(big)
+        expo -= big
+        del big                 # one grid less while out is formed
         out = coef * np.exp(expo) * head
     if not pb.all():
         out[(pb == 0.0) & (ells >= 2.0)] = 0.0
     zero = ells == 0
     if zero.any():
         out[zero] = math.gamma(alpha + 2) * p[zero] ** (-(alpha + 2))
-    if np.isscalar(ell) or np.asarray(ell).ndim == 0:
-        return complex(out[0])
-    return out
+    return out, sizes
 
 
 def series_term_quadrature(d: int, z: complex, rho: float, s: float,
@@ -289,17 +301,6 @@ def series_term_quadrature(d: int, z: complex, rho: float, s: float,
     integrand = Integrand1D(f, envelope_rate=0.5 * p.real)
     val, _, _ = integrate_exponential_tail(integrand, tol)
     return complex(val)
-
-
-def _exponent_sizes(d, z, rho, s, ells) -> np.ndarray:
-    """1 + |(ell - 1) log(p - b)| + |(ell + d + 1) log p|: eps times this
-    bounds the relative round-off that series_term_closed's exponent puts
-    on its terms."""
-    p = 4.0 * z * (2.0 * ells + d) + rho - 1j * s
-    pb = p - 2.0 * rho
-    logpb = np.log(np.where(pb == 0.0, 1.0, pb))
-    return (1.0 + np.abs((ells - 1.0) * logpb)
-            + np.abs((ells + d + 1.0) * np.log(p)))
 
 
 def _tail_levels(end: int) -> np.ndarray:
@@ -340,12 +341,14 @@ def _series_kernel(d: int, z: complex, rho, s, ell0: int,
     doubles from 256 until ell0 + n passes rho / (4 |z|), so |b / p| < 2/3
     on the tail at real z, and |s| / (8 |Im z|), so the tail's log(p - b)
     keeps off its branch cut; then until err, the change from n/2 to n
-    terms plus the round-off floor 1.1e-16 sum |J| _exponent_sizes, meets
+    terms plus the round-off floor 1.1e-16 sum |J| size (_closed_terms'
+    exponent sizes), meets
     tol = budget.tail_tolerance.  BudgetExhausted once n would pass
     budget.max_terms or the floor tol.
 
     The doubling runs in lockstep: the open queries that share n share
-    each call of series_term_closed, on a (queries, levels) grid, and
+    each call of _closed_terms (the head levels, with their sizes) or of
+    series_term_closed (the tail levels), on a (queries, levels) grid, and
     each query keeps the bits of its lone run.  The BudgetExhausted
     raised is the lowest-indexed failing query's, the one a loop over the
     queries would raise; a query on a quantized height raises
@@ -357,17 +360,17 @@ def _series_kernel(d: int, z: complex, rho, s, ell0: int,
     def terms(rows, ell, bounds=False):
         """Kernel terms of the queries rows at the levels ell, one row of
         terms per query; with bounds also each query's sum of round-off
-        bounds, |J| _exponent_sizes over the J of each term."""
+        bounds, |J| size over the J of each term."""
         r, col = rho[rows, None], s[rows, None]
         grid = np.broadcast_to(ell, (len(rows), len(ell)))
         signs = (col, -col) if z.imag else (col,)
-        js = [series_term_closed(d, z, r, x, grid) for x in signs]
-        value = js[0] + js[1] if z.imag else 2.0 * np.real(js[0])
         if not bounds:
-            return value
+            js = [series_term_closed(d, z, r, x, grid) for x in signs]
+            return js[0] + js[1] if z.imag else 2.0 * np.real(js[0])
+        js, sizes = zip(*(_closed_terms(d, z, r, x, grid) for x in signs))
+        value = js[0] + js[1] if z.imag else 2.0 * np.real(js[0])
         return value, (1.0 if z.imag else 2.0) * sum(
-            np.sum(np.abs(j) * _exponent_sizes(d, z, r, x, grid), axis=1)
-            for j, x in zip(js, signs))
+            np.sum(np.abs(j) * size, axis=1) for j, size in zip(js, sizes))
 
     # one group of queries per head length n: (n, rows, head, bound, the
     # terms at n's tail levels, the estimates at n/2)

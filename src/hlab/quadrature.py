@@ -502,12 +502,13 @@ def radial_ball_rule(radius: float, d: int = 1, n_rho: int = 129,
     r2 = float(radius) ** 2
     rho, wr = simpson_rule(0.0, r2, n_rho)
     s, ws = simpson_rule(-r2, r2, n_s)
-    R, S = np.meshgrid(rho, s, indexing="ij")
-    mask = R * R + S * S < r2 * r2
-    if not np.any(mask):
+    i, j = np.nonzero(rho[:, None] * rho[:, None] + s * s < r2 * r2)
+    if not i.size:
         raise QuadratureError("no grid nodes fall inside the ball")
-    wgt = np.outer(wr, ws) * (R ** (d - 1) if d > 1 else 1.0)
-    return R[mask], S[mask], wgt[mask]
+    w = wr[i] * ws[j]
+    if d > 1:
+        w *= rho[i] ** (d - 1)
+    return rho[i], s[j], w
 
 
 def radial_ball_norms(values, w, d: int, ps) -> list:

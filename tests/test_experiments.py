@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hlab import experiments
+from hlab import experiments, solutions
 from hlab.experiments import (CATALOG, ConfigError, ExperimentConfig,
                               ExperimentReport, _trapezoid, _window_ratio,
                               admissible_q, run)
@@ -247,6 +247,30 @@ def test_kernel_consistency_bytes_do_not_depend_on_the_panel_rule(monkeypatch):
     monkeypatch.setattr(experiments, "analyze", as_tables)
     assert _csv_text(cfg) == on_rule
     assert len(tables) == 1 and tables[0]._rule is None
+
+
+@pytest.mark.parametrize("name, calls, sums", [("dispersion", 3, 1),
+                                               ("strichartz-window", 4, 1),
+                                               ("kernel-consistency", 1, 3)])
+def test_convolution_probes_run_only_where_err_is_read(monkeypatch, name,
+                                                       calls, sums):
+    # dispersion and strichartz-window read only the convolution's values,
+    # one radial sum per time; kernel-consistency reports conv_err, which
+    # adds the halved-panel and the source sub-rule probes to its one call
+    evolve, radial_sum = experiments.evolve_by_convolution, solutions._radial_sum
+    seen = {"calls": 0, "sums": 0}
+
+    def count(key, fn):
+        def counted(*args, **kw):
+            seen[key] += 1
+            return fn(*args, **kw)
+        return counted
+
+    monkeypatch.setattr(experiments, "evolve_by_convolution",
+                        count("calls", evolve))
+    monkeypatch.setattr(solutions, "_radial_sum", count("sums", radial_sum))
+    run(ExperimentConfig(experiment=name, fast=True))
+    assert seen == {"calls": calls, "sums": calls * sums}
 
 
 def test_kernel_consistency_grid_follows_t_over_r0_squared(monkeypatch):

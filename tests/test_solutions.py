@@ -14,9 +14,9 @@ from hlab.group import GroupPoint
 from hlab.kernels import (KernelQuery, StripViolation, ZeroTime,
                           schrodinger_batch, schrodinger_kernel)
 from hlab import kernels, solutions
-from hlab.quadrature import (gauss_panels, integrate_adaptive,
-                             radial_ball_norms, radial_ball_rule,
-                             simpson_rule)
+from hlab.quadrature import (QuadratureError, gauss_panels,
+                             integrate_adaptive, radial_ball_norms,
+                             radial_ball_rule, simpson_rule)
 from hlab.solutions import (ConcentrationProbe, LineData,
                             concentration_probe, evolve_by_convolution,
                             hyperplane_decay_exponent)
@@ -217,7 +217,7 @@ def test_convolution_far_field_is_mass_times_kernel():
     pts = [GroupPoint(np.array([0.4]), np.array([-0.3]), 2.0),
            GroupPoint(np.array([0.0]), np.array([0.0]), 0.0),
            GroupPoint(np.array([1.0]), np.array([0.8]), -5.0)]
-    vals, _ = evolve_by_convolution(u0, t, pts, tol=1e-8)
+    vals = evolve_by_convolution(u0, t, pts, tol=1e-8).values
     for p, v in zip(pts, vals):
         k = schrodinger_kernel(KernelQuery(
             t_or_z=t, rho=p.horizontal_sq(), s=p.s, tol=1e-11)).value
@@ -247,14 +247,72 @@ def test_convolution_grid_refinement_and_linearity(monkeypatch):
              (bump_profile(1.0), 4.0, _radial_points(1, rho, s), 1e-8))
     results = [evolve_by_convolution(u0_, t, pts, tol=tol)
                for u0_, t, pts, tol in cases]
-    doubled, _ = evolve_by_convolution(bump_profile(0.5, amplitude=2.0), 0.7,
-                                       cases[0][2])
-    np.testing.assert_allclose(doubled, 2.0 * results[0][0], rtol=1e-13)
+    doubled = evolve_by_convolution(bump_profile(0.5, amplitude=2.0), 0.7,
+                                    cases[0][2]).values
+    np.testing.assert_allclose(doubled, 2.0 * results[0].values, rtol=1e-13)
     monkeypatch.setattr(solutions, "_N_SOURCE", 257)
-    for (u0_, t, pts, tol), (vals, err) in zip(cases, results):
-        finer, _ = evolve_by_convolution(u0_, t, pts, tol=1e-3 * tol)
+    for (u0_, t, pts, tol), res in zip(cases, results):
+        finer = evolve_by_convolution(u0_, t, pts, tol=1e-3 * tol).values
+        vals, err = res.values, res.err
         gap = float(np.max(np.abs(finer - vals)))
         assert 0.0 < gap <= err < 1e-3 * float(np.max(np.abs(vals)))
+
+
+def _counted_radial_sums(monkeypatch):
+    """The tau node count of each solutions._radial_sum call from now on."""
+    sizes = []
+    radial_sum = solutions._radial_sum
+
+    def counted(d, t, tau, *args):
+        sizes.append(tau.size)
+        return radial_sum(d, t, tau, *args)
+
+    monkeypatch.setattr(solutions, "_radial_sum", counted)
+    return sizes
+
+
+def test_convolution_err_is_summed_once_on_first_read(monkeypatch):
+    # the values take one radial sum; the halved-panel probe (more tau
+    # nodes) and the source sub-rule probe run when err is first read, and
+    # a second read returns the kept bound
+    sizes = _counted_radial_sums(monkeypatch)
+    pts = [GroupPoint(np.array([0.2]), np.array([0.1]), 0.3),
+           GroupPoint(np.array([0.0]), np.array([0.0]), 0.0)]
+    conv = evolve_by_convolution(bump_profile(0.5), 0.7, pts, tol=1e-6)
+    assert len(sizes) == 1 and conv.values.shape == (2,)
+    err = conv.err
+    assert len(sizes) == 3 and sizes[1] > sizes[0] == sizes[2]
+    assert conv.err is err and len(sizes) == 3 and conv.probes is None
+
+
+def test_convolution_refuses_a_halved_probe_over_the_panel_budget(
+        monkeypatch):
+    # the halved probe's tau rule is built with the values: a panel budget
+    # that holds the values' rule but not the probe's refuses the call,
+    # before any radial sum and though err is never read
+    u0 = bump_profile(0.5)
+    origin = [GroupPoint(np.array([0.0]), np.array([0.0]), 0.0)]
+    rules = []
+    fixed_tau_rule = solutions._fixed_tau_rule
+
+    def recorded(t_cut, width):
+        rules.append((t_cut, width))
+        return fixed_tau_rule(t_cut, width)
+
+    monkeypatch.setattr(solutions, "_fixed_tau_rule", recorded)
+    evolve_by_convolution(u0, 0.7, origin)
+    (t_cut, width), (_, half) = rules
+    budget = math.ceil(t_cut / width)
+    assert half == 0.5 * width and math.ceil(t_cut / half) > budget
+    sizes = _counted_radial_sums(monkeypatch)
+    monkeypatch.setattr(kernels, "MAX_PANELS", budget)
+    with pytest.raises(QuadratureError, match="over %d panels a side .* "
+                       "width %.3g" % (budget, half)):
+        evolve_by_convolution(u0, 0.7, origin)
+    assert sizes == []
+    monkeypatch.setattr(kernels, "MAX_PANELS", math.ceil(t_cut / half))
+    evolve_by_convolution(u0, 0.7, origin)
+    assert len(sizes) == 1
 
 
 def _tensor_box(u0, n):
@@ -292,7 +350,7 @@ def _pair_sum(u0, t, points, n, tol):
 
 def _pair_sum_gaps(u0, t, points, sizes):
     """Relative distance of the tensor pair sum to the radial route."""
-    want, _ = evolve_by_convolution(u0, t, points, tol=1e-8)
+    want = evolve_by_convolution(u0, t, points, tol=1e-8).values
     scale = float(np.max(np.abs(want)))
     return [float(np.max(np.abs(_pair_sum(u0, t, points, n, 1e-8) - want)))
             / scale for n in sizes]
@@ -335,9 +393,9 @@ def test_convolution_depends_on_y_only_through_its_length():
             x = rng.normal(size=2 * d)
             x *= math.sqrt(r) / np.linalg.norm(x)
             turned.append(GroupPoint(x[:d], x[d:], v))
-        a, _ = evolve_by_convolution(u0, t, _radial_points(d, rho, s),
-                                     tol=1e-8)
-        b, _ = evolve_by_convolution(u0, t, turned, tol=1e-8)
+        a = evolve_by_convolution(u0, t, _radial_points(d, rho, s),
+                                  tol=1e-8).values
+        b = evolve_by_convolution(u0, t, turned, tol=1e-8).values
         np.testing.assert_allclose(b, a, rtol=1e-12, atol=0.0)
 
 
@@ -352,9 +410,9 @@ def _polar_ball_norms(u0, t, kappa, n):
     phi, wphi = 0.5 * math.pi * x, 0.5 * math.pi * wx
     R, P = np.meshgrid(r, phi, indexing="ij")
     w = np.outer(wr * r ** d, wphi * np.cos(phi) ** (d - 1)).reshape(-1)
-    vals, _ = evolve_by_convolution(
+    vals = evolve_by_convolution(
         u0, t, _radial_points(d, (R * np.cos(P)).reshape(-1),
-                              (R * np.sin(P)).reshape(-1)), tol=1e-8)
+                              (R * np.sin(P)).reshape(-1)), tol=1e-8).values
     const = math.pi ** d / math.factorial(d - 1)
     return np.array([(const * np.sum(w * np.abs(vals) ** p)) ** (1.0 / p)
                      for p in (2.0, 4.0)])
@@ -374,7 +432,7 @@ def test_radial_ball_norms_match_a_polar_gauss_rule():
     np.testing.assert_allclose(_polar_ball_norms(u0, t, kappa, 16), polar,
                                rtol=1e-9)
     for fast in (True, False):
-        _, l2, l4, _ = _evolved_ball_norms(u0, t, kappa, *_ball_grid(fast))
+        _, l2, l4 = _evolved_ball_norms(u0, t, kappa, *_ball_grid(fast))
         np.testing.assert_allclose([l2, l4], polar, rtol=0.03)
 
 
@@ -409,7 +467,8 @@ t = 4.0                                     # dispersion --fast, first time
 rho, s, _ = radial_ball_rule(1.0 * math.sqrt(t), 1, *_ball_grid(True))
 points = [GroupPoint(np.array([math.sqrt(r)]), np.zeros(1), float(v))
           for r, v in zip(rho, s)]
-vals, err = evolve_by_convolution(bump_profile(1.0), t, points, tol=1e-8)
+conv = evolve_by_convolution(bump_profile(1.0), t, points, tol=1e-8)
+vals, err = conv.values, conv.err
 print(hashlib.sha256(vals.tobytes() + np.float64(err).tobytes()).hexdigest())
 """
 
